@@ -54,28 +54,25 @@ test-short:
 	$(GO) test -short ./...
 
 # The concurrency-sensitive paths (batched RPC fan-out, plan cache,
-# 2PC) are exercised under the race detector. The vectorized executor,
-# the column index, and the tracing/metrics layer run first and
+# 2PC) are exercised under the race detector. The batch executor, the
+# column index, the tracing/metrics layer and the DN run first and
 # explicitly: pooled batches moving through bounded MPP exchange queues
 # and the lock-cheap metrics instruments are the newest shared-memory
-# surfaces.
+# surfaces, and the DN's RO replicas apply redo batches that the fabric
+# delivers concurrently and out of order.
 test-race: vet
-	$(GO) test -race ./internal/executor/ ./internal/colindex/ ./internal/obs/ ./internal/vector/
+	$(GO) test -race ./internal/executor/ ./internal/colindex/ ./internal/obs/ ./internal/vector/ ./internal/dn/
 	$(GO) test -race ./...
 
-# Fig. 7 benches plus the CN fast-path point-read benchmark
-# (batched per-DN fan-out vs the per-key baseline, cross-DC topology).
+# Fig. 7 benches plus the CN fast-path multi-point read benchmark
+# (keys batched per DN, cross-DC topology).
 bench-fig7:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPointReadBatch' ./internal/bench/...
 
-# Fig. 10 TPC-H benches (serial vs MPP vs column index), each under the
-# vectorized batch engine and the row-mode baseline, plus the
-# filter→join→agg micro-benchmark that gates the batch engine (>=2x
-# over row mode at 100k rows).
+# Fig. 10 TPC-H benches: serial vs MPP vs column index.
 bench-fig10:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatchVsRow' ./internal/executor/
 
 # Commit-pipeline benchmark: sustained multi-client commit throughput
 # over a fixed 3-DC RTT matrix, group commit on vs off (the seed's

@@ -75,24 +75,12 @@ type Config struct {
 	IsolationOff bool
 	// MPPOff disables multi-CN fragment execution (Fig. 10 baseline).
 	MPPOff bool
-	// VectorizedOff disables the batch (vectorized) execution engine: AP
-	// plans fall back to row-at-a-time operators — the pre-batch behavior,
-	// kept for equivalence tests and as a benchmark baseline.
-	VectorizedOff bool
 	// DNServiceRate models each DN node's compute capacity in work
 	// tokens per second (0 = unlimited). Every RW and RO node gets its
 	// own bucket, so read capacity scales with replica count (Fig. 9b).
 	DNServiceRate float64
 	// WithPolarFS provisions chunk servers and volumes (page-flush I/O).
 	WithPolarFS bool
-	// NoBatch disables the CN fast path (per-DN batched multi-gets,
-	// batched DML writes, parallel multi-shard TP scans), falling back to
-	// one RPC per key/row/shard — the pre-fast-path behavior, kept for
-	// equivalence tests and as a benchmark baseline.
-	NoBatch bool
-	// PlanCacheOff disables the CN's fingerprinted plan cache: every
-	// statement pays the full optimizer pipeline (benchmark baseline).
-	PlanCacheOff bool
 	// CompressionOff disables the compression stack cluster-wide: column
 	// indexes store raw vectors, Paxos log frames ship uncompressed, and
 	// PolarFS replication payloads move at their logical size — the exact
@@ -490,14 +478,12 @@ func (c *Cluster) addCN(dc simnet.DC) *CN {
 		oracle = txn.NewHLCOracle(hlc.NewClock(nil))
 	}
 	cn := &CN{
-		name:    name,
-		dc:      dc,
-		cluster: c,
-		coord:   txn.NewCoordinator(c.Net, name, oracle),
-		sched:   htap.NewScheduler(c.cfg.SchedulerCfg),
-	}
-	if !c.cfg.PlanCacheOff {
-		cn.planCache = optimizer.NewPlanCache(0)
+		name:      name,
+		dc:        dc,
+		cluster:   c,
+		coord:     txn.NewCoordinator(c.Net, name, oracle),
+		sched:     htap.NewScheduler(c.cfg.SchedulerCfg),
+		planCache: optimizer.NewPlanCache(0),
 	}
 	if c.metrics != nil {
 		cn.coord.SetMetrics(c.metrics)
@@ -520,7 +506,6 @@ func (c *Cluster) addCN(dc simnet.DC) *CN {
 	cn.opt = optimizer.New(c.GMS, statsAdapter{c}, optimizer.Options{
 		TPCostThreshold: c.cfg.TPCostThreshold,
 		MPPAvailable:    !c.cfg.MPPOff,
-		BatchAvailable:  !c.cfg.VectorizedOff,
 		HasColumnIndex:  cn.hasColumnIndex,
 	})
 	c.mu.Lock()
@@ -820,6 +805,12 @@ func (c *Cluster) WaitROConvergence(timeout time.Duration) error {
 		lagging := false
 		c.mu.Lock()
 		for _, inst := range c.dns {
+			if ev := inst.EvictedROs(); len(ev) > 0 {
+				// An evicted replica gets no more redo: it can never
+				// converge, so say so instead of waiting out the timeout.
+				c.mu.Unlock()
+				return fmt.Errorf("core: RO convergence: replicas %v evicted", ev)
+			}
 			dlsn := inst.Paxos().DLSN()
 			for _, ro := range inst.ROs() {
 				if ro.AppliedLSN() < dlsn {

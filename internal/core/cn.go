@@ -47,8 +47,7 @@ type CN struct {
 	// shed without consulting the controller (AP memory admission) land
 	// in the same metrics. All fields are nil-safe when metrics are off.
 	admMetrics admission.Metrics
-	// planCache caches plan skeletons by statement fingerprint (nil when
-	// Config.PlanCacheOff).
+	// planCache caches plan skeletons by statement fingerprint.
 	planCache *optimizer.PlanCache
 	// mPCHit/mPCMiss count plan-cache outcomes in the cluster registry
 	// (nil when metrics are off; Counter methods are nil-safe).

@@ -34,10 +34,7 @@ func (s *Session) execInsert(st *sql.Insert) (*Result, error) {
 		return nil, err
 	}
 	n, execErr := func() (int, error) {
-		var batch *writeBatch
-		if !s.cn.cluster.cfg.NoBatch {
-			batch = newWriteBatch()
-		}
+		batch := newWriteBatch()
 		count := 0
 		for _, exprRow := range st.Rows {
 			if len(exprRow) != len(colPos) {
@@ -54,21 +51,15 @@ func (s *Session) execInsert(st *sql.Insert) (*Result, error) {
 			if t.Schema.ImplicitPK {
 				row[len(row)-1] = types.Int(autoInc.Add(1))
 			}
-			if batch != nil {
-				if err := s.stageInsert(batch, t, row); err != nil {
-					return count, err
-				}
-			} else if err := s.insertRow(tx, t, row); err != nil {
+			if err := s.stageInsert(batch, t, row); err != nil {
 				return count, err
 			}
 			count++
 		}
-		if batch != nil {
-			// One MultiWrite per touched DN carries the whole multi-row
-			// INSERT including index maintenance.
-			if err := batch.flush(tx); err != nil {
-				return 0, err
-			}
+		// One MultiWrite per touched DN carries the whole multi-row
+		// INSERT including index maintenance.
+		if err := batch.flush(tx); err != nil {
+			return 0, err
 		}
 		return count, nil
 	}()
@@ -78,37 +69,8 @@ func (s *Session) execInsert(st *sql.Insert) (*Result, error) {
 	return &Result{Affected: n}, nil
 }
 
-// insertRow routes one row plus its index rows.
-func (s *Session) insertRow(tx txnLike, t *partition.Table, row types.Row) error {
-	shard := t.ShardOfRow(row)
-	dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
-	if err != nil {
-		return err
-	}
-	if err := tx.Insert(dnName, t.PhysicalTableID(shard), row); err != nil {
-		return err
-	}
-	s.cn.cluster.GMS.RecordLoad(t.Name, shard, 1)
-	for _, gi := range t.Indexes {
-		irow := gi.IndexRow(t, row)
-		ishard := gi.ShardOfIndexRow(irow)
-		idn, err := s.cn.cluster.GMS.DNForShard(t.Name, ishard)
-		if err != nil {
-			return err
-		}
-		if err := tx.Insert(idn, gi.PhysicalTableID(ishard), irow); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // txnLike abstracts txn.Tx for DML helpers.
 type txnLike interface {
-	Insert(dnName string, table uint32, row types.Row) error
-	Update(dnName string, table uint32, row types.Row) error
-	Delete(dnName string, table uint32, pk []byte) error
-	Get(dnName string, table uint32, pk []byte) (types.Row, bool, error)
 	Scan(dnName string, table uint32, index string, start, end []byte, limit int) ([]types.Row, error)
 	MultiGet(dnName string, gets []dn.PointGet) ([]dn.ReadResp, error)
 	MultiWrite(dnName string, writes []dn.WriteItem) error
@@ -159,8 +121,7 @@ func (b *writeBatch) flush(tx txnLike) error {
 	return firstErr
 }
 
-// stageInsert stages one row plus its index rows into the batch
-// (batched counterpart of insertRow).
+// stageInsert stages one row plus its index rows into the batch.
 func (s *Session) stageInsert(b *writeBatch, t *partition.Table, row types.Row) error {
 	shard := t.ShardOfRow(row)
 	dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
@@ -271,26 +232,10 @@ func (s *Session) matchRows(tx txnLike, t *partition.Table, where sql.Expr) ([]t
 }
 
 // pointGets reads a set of PKs inside the transaction, returning one
-// ReadResp per key in input order. Fast path: keys group by owning DN
-// into one MultiGet each, all DNs in parallel; Config.NoBatch keeps the
-// one-RPC-per-key baseline.
+// ReadResp per key in input order: keys group by owning DN into one
+// MultiGet each, all DNs in parallel.
 func (s *Session) pointGets(tx txnLike, t *partition.Table, points [][]byte) ([]dn.ReadResp, error) {
 	results := make([]dn.ReadResp, len(points))
-	if s.cn.cluster.cfg.NoBatch {
-		for k, pk := range points {
-			shard := t.ShardOfPK(pk)
-			dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
-			if err != nil {
-				return nil, err
-			}
-			row, ok, err := tx.Get(dnName, t.PhysicalTableID(shard), pk)
-			if err != nil {
-				return nil, err
-			}
-			results[k] = dn.ReadResp{Row: row, OK: ok}
-		}
-		return results, nil
-	}
 	groups := make(map[string]*pointGroup)
 	var order []*pointGroup
 	for k, pk := range points {
@@ -533,10 +478,7 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		var batch *writeBatch
-		if !s.cn.cluster.cfg.NoBatch {
-			batch = newWriteBatch()
-		}
+		batch := newWriteBatch()
 		for i, old := range rows {
 			newRow := old.Clone()
 			for _, a := range sets {
@@ -551,24 +493,13 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 			if err != nil {
 				return i, err
 			}
-			if batch != nil {
-				batch.add(dnName, dn.WriteItem{Table: t.PhysicalTableID(shard), Op: dn.OpUpdate, Row: newRow})
-				if err := s.stageRefreshIndexes(batch, t, old, newRow); err != nil {
-					return i, err
-				}
-				continue
-			}
-			if err := tx.Update(dnName, t.PhysicalTableID(shard), newRow); err != nil {
-				return i, err
-			}
-			if err := s.refreshIndexes(tx, t, old, newRow); err != nil {
+			batch.add(dnName, dn.WriteItem{Table: t.PhysicalTableID(shard), Op: dn.OpUpdate, Row: newRow})
+			if err := s.stageRefreshIndexes(batch, t, old, newRow); err != nil {
 				return i, err
 			}
 		}
-		if batch != nil {
-			if err := batch.flush(tx); err != nil {
-				return 0, err
-			}
+		if err := batch.flush(tx); err != nil {
+			return 0, err
 		}
 		return len(rows), nil
 	}()
@@ -603,46 +534,9 @@ func bindToSchema(t *partition.Table, e sql.Expr) error {
 	return bindErr
 }
 
-// refreshIndexes maintains GSIs across an update.
-func (s *Session) refreshIndexes(tx txnLike, t *partition.Table, old, new types.Row) error {
-	for _, gi := range t.Indexes {
-		oldIdx := gi.IndexRow(t, old)
-		newIdx := gi.IndexRow(t, new)
-		same := len(oldIdx) == len(newIdx)
-		if same {
-			for i := range oldIdx {
-				if oldIdx[i].Compare(newIdx[i]) != 0 {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
-			continue
-		}
-		oshard := gi.ShardOfIndexRow(oldIdx)
-		odn, err := s.cn.cluster.GMS.DNForShard(t.Name, oshard)
-		if err != nil {
-			return err
-		}
-		if err := tx.Delete(odn, gi.PhysicalTableID(oshard), gi.Schema.PKKey(oldIdx)); err != nil {
-			return err
-		}
-		nshard := gi.ShardOfIndexRow(newIdx)
-		ndn, err := s.cn.cluster.GMS.DNForShard(t.Name, nshard)
-		if err != nil {
-			return err
-		}
-		if err := tx.Insert(ndn, gi.PhysicalTableID(nshard), newIdx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stageRefreshIndexes is refreshIndexes' batched counterpart: the GSI
-// delete-then-insert pair is staged in order (same key → same DN → the
-// DN applies them in order).
+// stageRefreshIndexes maintains GSIs across an update: when an index
+// row changes, its delete-then-insert pair is staged in order (same key
+// → same DN → the DN applies them in order).
 func (s *Session) stageRefreshIndexes(b *writeBatch, t *partition.Table, old, new types.Row) error {
 	for _, gi := range t.Indexes {
 		oldIdx := gi.IndexRow(t, old)
@@ -693,21 +587,14 @@ func (s *Session) execDelete(st *sql.Delete) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		var batch *writeBatch
-		if !s.cn.cluster.cfg.NoBatch {
-			batch = newWriteBatch()
-		}
+		batch := newWriteBatch()
 		for i, row := range rows {
 			shard := t.ShardOfRow(row)
 			dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
 			if err != nil {
 				return i, err
 			}
-			if batch != nil {
-				batch.add(dnName, dn.WriteItem{Table: t.PhysicalTableID(shard), Op: dn.OpDelete, PK: t.Schema.PKKey(row)})
-			} else if err := tx.Delete(dnName, t.PhysicalTableID(shard), t.Schema.PKKey(row)); err != nil {
-				return i, err
-			}
+			batch.add(dnName, dn.WriteItem{Table: t.PhysicalTableID(shard), Op: dn.OpDelete, PK: t.Schema.PKKey(row)})
 			for _, gi := range t.Indexes {
 				irow := gi.IndexRow(t, row)
 				ishard := gi.ShardOfIndexRow(irow)
@@ -715,17 +602,11 @@ func (s *Session) execDelete(st *sql.Delete) (*Result, error) {
 				if err != nil {
 					return i, err
 				}
-				if batch != nil {
-					batch.add(idn, dn.WriteItem{Table: gi.PhysicalTableID(ishard), Op: dn.OpDelete, PK: gi.Schema.PKKey(irow)})
-				} else if err := tx.Delete(idn, gi.PhysicalTableID(ishard), gi.Schema.PKKey(irow)); err != nil {
-					return i, err
-				}
+				batch.add(idn, dn.WriteItem{Table: gi.PhysicalTableID(ishard), Op: dn.OpDelete, PK: gi.Schema.PKKey(irow)})
 			}
 		}
-		if batch != nil {
-			if err := batch.flush(tx); err != nil {
-				return 0, err
-			}
+		if err := batch.flush(tx); err != nil {
+			return 0, err
 		}
 		return len(rows), nil
 	}()

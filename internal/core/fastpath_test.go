@@ -1,9 +1,7 @@
 package core
 
 // Tests for the CN fast path: per-DN batched RPC fan-out (multi-point
-// reads, batched DML writes) and the fingerprinted plan cache. The
-// legacy per-key/per-row path is kept behind Config.NoBatch and serves
-// as the equivalence baseline throughout.
+// reads, batched DML writes) and the fingerprinted plan cache.
 
 import (
 	"fmt"
@@ -18,8 +16,7 @@ import (
 
 // TestBatchedPointReadRPCBudget pins the fast path's RPC budget: a
 // multi-point SELECT spanning several DN groups pays exactly one
-// MultiGet per touched DN and zero per-key reads, while the NoBatch
-// baseline pays one ReadReq per key.
+// MultiGet per touched DN and zero per-key reads.
 func TestBatchedPointReadRPCBudget(t *testing.T) {
 	const keys = 24
 	groups := []string{"dng0", "dng1", "dng2"}
@@ -117,31 +114,17 @@ func TestBatchedPointReadRPCBudget(t *testing.T) {
 			t.Fatalf("in-txn: fast path fell back to %d per-key reads", p1-p0)
 		}
 	})
-
-	t.Run("nobatch-baseline", func(t *testing.T) {
-		c := newTestCluster(t, Config{DNGroups: 3, NoBatch: true})
-		s := seed(c)
-		p0, m0 := snapshot(c)
-		checkRows(mustExec(t, s, "SELECT v FROM kv WHERE id IN ("+inList+")"))
-		p1, m1 := snapshot(c)
-		if got := p1 - p0; got != keys {
-			t.Fatalf("baseline: %d per-key reads for %d keys", got, keys)
-		}
-		if m1 != m0 {
-			t.Fatalf("baseline issued %d MultiGets with NoBatch set", m1-m0)
-		}
-	})
 }
 
 // TestFastPathEquivalenceUnderConcurrency drives many concurrent
 // sessions through the batched paths (multi-row INSERT, IN-list
 // UPDATE/DELETE/SELECT, GSI maintenance, explicit cross-shard
-// transactions) and checks the final database state is byte-identical
-// to the per-key NoBatch baseline. Run under -race via `make test-race`.
+// transactions) and checks the final database state equals the one the
+// statements imply. Run under -race via `make test-race`.
 func TestFastPathEquivalenceUnderConcurrency(t *testing.T) {
 	const workers, span = 4, 60
-	run := func(noBatch bool) []string {
-		c := newTestCluster(t, Config{NoBatch: noBatch})
+	run := func() []string {
+		c := newTestCluster(t, Config{})
 		s := c.CN(simnet.DC1).NewSession()
 		mustExec(t, s, `CREATE TABLE acct (id BIGINT, grp BIGINT, val BIGINT, PRIMARY KEY(id)) PARTITIONS 8`)
 		mustExec(t, s, `CREATE GLOBAL INDEX idx_grp ON acct (grp)`)
@@ -214,14 +197,33 @@ func TestFastPathEquivalenceUnderConcurrency(t *testing.T) {
 		out = append(out, fmt.Sprintf("grp9=%d", gsi.Rows[0][0].AsInt()))
 		return out
 	}
-	fast := run(false)
-	slow := run(true)
-	if len(fast) != len(slow) {
-		t.Fatalf("row counts differ: batched=%d baseline=%d", len(fast), len(slow))
+	// Each worker inserts ids [base, base+span) with grp = id%7 and
+	// val = id*3, moves every sixth row (+1000 to val, +7 to grp), then
+	// deletes base+1, base+8 and base+15.
+	var want []string
+	grp9 := 0
+	for id := 0; id < workers*span; id++ {
+		switch id % span {
+		case 1, 8, 15:
+			continue
+		}
+		grp, val := id%7, id*3
+		if (id%span)%6 == 0 {
+			grp, val = grp+7, val+1000
+		}
+		if grp == 9 {
+			grp9++
+		}
+		want = append(want, fmt.Sprintf("%d|%d|%d", id, grp, val))
 	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("row %d differs:\n  batched  = %s\n  baseline = %s", i, fast[i], slow[i])
+	want = append(want, fmt.Sprintf("grp9=%d", grp9))
+	got := run()
+	if len(got) != len(want) {
+		t.Fatalf("got %d result lines, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("line %d: got %s, want %s", i, got[i], want[i])
 		}
 	}
 }
@@ -366,44 +368,35 @@ func TestColumnIndexCacheInvalidation(t *testing.T) {
 }
 
 // TestDMLDuplicateINKeys: duplicate IN-list entries must match a row
-// once for UPDATE/DELETE (MySQL semantics) in both the batched and the
-// NoBatch path — without dedup the second staged delete of the same key
-// fails at the DN.
+// once for UPDATE/DELETE (MySQL semantics) — without dedup the second
+// staged delete of the same key fails at the DN.
 func TestDMLDuplicateINKeys(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{
-		{"batched", false},
-		{"nobatch", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			c := newTestCluster(t, Config{NoBatch: mode.noBatch})
-			s := c.CN(simnet.DC1).NewSession()
-			mustExec(t, s, `CREATE TABLE dup (id BIGINT, v BIGINT, PRIMARY KEY (id)) PARTITIONS 4`)
-			mustExec(t, s, `CREATE GLOBAL INDEX idx_dupv ON dup (v)`)
-			mustExec(t, s, `INSERT INTO dup (id, v) VALUES (1, 10), (2, 20), (3, 30)`)
+	t.Run("batched", func(t *testing.T) {
+		c := newTestCluster(t, Config{})
+		s := c.CN(simnet.DC1).NewSession()
+		mustExec(t, s, `CREATE TABLE dup (id BIGINT, v BIGINT, PRIMARY KEY (id)) PARTITIONS 4`)
+		mustExec(t, s, `CREATE GLOBAL INDEX idx_dupv ON dup (v)`)
+		mustExec(t, s, `INSERT INTO dup (id, v) VALUES (1, 10), (2, 20), (3, 30)`)
 
-			if res := mustExec(t, s, `UPDATE dup SET v = v + 1 WHERE id IN (2, 2, 2)`); res.Affected != 1 {
-				t.Fatalf("update affected = %d, want 1", res.Affected)
-			}
-			if res := mustExec(t, s, `SELECT v FROM dup WHERE id = 2`); res.Rows[0][0].AsInt() != 21 {
-				t.Fatalf("duplicate-key update applied more than once: v = %v", res.Rows[0][0])
-			}
+		if res := mustExec(t, s, `UPDATE dup SET v = v + 1 WHERE id IN (2, 2, 2)`); res.Affected != 1 {
+			t.Fatalf("update affected = %d, want 1", res.Affected)
+		}
+		if res := mustExec(t, s, `SELECT v FROM dup WHERE id = 2`); res.Rows[0][0].AsInt() != 21 {
+			t.Fatalf("duplicate-key update applied more than once: v = %v", res.Rows[0][0])
+		}
 
-			if res := mustExec(t, s, `DELETE FROM dup WHERE id IN (3, 3, 3)`); res.Affected != 1 {
-				t.Fatalf("delete affected = %d, want 1", res.Affected)
-			}
-			if res := mustExec(t, s, `SELECT id FROM dup ORDER BY id`); len(res.Rows) != 2 {
-				t.Fatalf("rows after delete = %d, want 2", len(res.Rows))
-			}
-			// The GSI must have followed: old entries gone, updated one present.
-			if res := mustExec(t, s, `SELECT id FROM dup WHERE v = 21`); len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 2 {
-				t.Fatalf("GSI lookup after dup-key update = %v", res.Rows)
-			}
-			if res := mustExec(t, s, `SELECT id FROM dup WHERE v = 30`); len(res.Rows) != 0 {
-				t.Fatalf("GSI entry for deleted row survived: %v", res.Rows)
-			}
-		})
-	}
+		if res := mustExec(t, s, `DELETE FROM dup WHERE id IN (3, 3, 3)`); res.Affected != 1 {
+			t.Fatalf("delete affected = %d, want 1", res.Affected)
+		}
+		if res := mustExec(t, s, `SELECT id FROM dup ORDER BY id`); len(res.Rows) != 2 {
+			t.Fatalf("rows after delete = %d, want 2", len(res.Rows))
+		}
+		// The GSI must have followed: old entries gone, updated one present.
+		if res := mustExec(t, s, `SELECT id FROM dup WHERE v = 21`); len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 2 {
+			t.Fatalf("GSI lookup after dup-key update = %v", res.Rows)
+		}
+		if res := mustExec(t, s, `SELECT id FROM dup WHERE v = 30`); len(res.Rows) != 0 {
+			t.Fatalf("GSI entry for deleted row survived: %v", res.Rows)
+		}
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/sql"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 	"repro/internal/wal"
 )
 
@@ -124,95 +125,325 @@ func (s *Session) runPlan(plan *optimizer.Plan, analyze map[optimizer.Node]*obs.
 		}
 		defer s.cn.sched.Mem.Release(ctx.group, est)
 	}
-	// Shard fetches and partial aggregation run as scheduled fragment
-	// jobs in the classified pool (quota-gated for AP, §VI-D); the final
-	// merge pulls from their bounded exchange queues on this goroutine,
-	// so a blocked consumer can never starve the workers its producers
-	// need. AP plans default to the vectorized batch engine; row mode
-	// remains the TP path and the Config.VectorizedOff baseline.
-	if plan.Vectorized {
-		root, err := s.cn.buildBatchOperator(plan.Root, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return executor.CollectBatch(root)
-	}
-	root, err := s.cn.buildOperator(plan.Root, ctx)
+	// Every plan runs on batch operators. Shard fetches and partial
+	// aggregation run as scheduled fragment jobs in the classified pool
+	// (quota-gated for AP, §VI-D); the final merge pulls from their
+	// bounded exchange queues on this goroutine, so a blocked consumer can
+	// never starve the workers its producers need.
+	root, err := s.cn.buildBatchOperator(plan.Root, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return executor.Collect(root)
+	return executor.CollectBatch(root)
 }
 
-// buildOperator lowers a plan node to an executor operator tree,
+// buildBatchOperator lowers a plan node to a batch operator tree,
 // wrapping each node with an instrumented shim when the query runs under
 // EXPLAIN ANALYZE (ctx.analyze non-nil). Plain queries lower directly.
-func (cn *CN) buildOperator(node optimizer.Node, ctx *queryCtx) (executor.Operator, error) {
-	op, err := cn.lowerOperator(node, ctx)
+func (cn *CN) buildBatchOperator(node optimizer.Node, ctx *queryCtx) (executor.BatchOperator, error) {
+	op, err := cn.lowerBatchOperator(node, ctx)
 	if err != nil || ctx.analyze == nil {
 		return op, err
 	}
-	return executor.Instrument(op, ctx.statsFor(node)), nil
+	return executor.InstrumentBatch(op, ctx.statsFor(node)), nil
 }
 
-// lowerOperator is the uninstrumented lowering behind buildOperator.
-func (cn *CN) lowerOperator(node optimizer.Node, ctx *queryCtx) (executor.Operator, error) {
+// lowerBatchOperator is the uninstrumented lowering behind
+// buildBatchOperator.
+func (cn *CN) lowerBatchOperator(node optimizer.Node, ctx *queryCtx) (executor.BatchOperator, error) {
 	switch n := node.(type) {
 	case *optimizer.ScanNode:
-		return cn.buildScan(n, ctx)
+		return cn.buildBatchScan(n, ctx)
 	case *optimizer.FilterNode:
-		in, err := cn.buildOperator(n.Input, ctx)
+		in, err := cn.buildBatchOperator(n.Input, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &executor.Filter{Input: in, Pred: n.Pred}, nil
+		return &executor.BatchFilter{Input: in, Pred: n.Pred}, nil
 	case *optimizer.ProjectNode:
-		in, err := cn.buildOperator(n.Input, ctx)
+		in, err := cn.buildBatchOperator(n.Input, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &executor.Project{Input: in, Exprs: n.Exprs, Names: n.Names}, nil
+		return &executor.BatchProject{Input: in, Exprs: n.Exprs, Names: n.Names}, nil
 	case *optimizer.SortNode:
-		in, err := cn.buildOperator(n.Input, ctx)
+		in, err := cn.buildBatchOperator(n.Input, ctx)
 		if err != nil {
 			return nil, err
 		}
-		op := &executor.Sort{Input: in}
+		op := &executor.BatchSort{Input: in}
 		for _, k := range n.Keys {
 			op.Keys = append(op.Keys, executor.SortKey{Expr: k.Expr, Desc: k.Desc})
 		}
 		return op, nil
 	case *optimizer.LimitNode:
-		in, err := cn.buildOperator(n.Input, ctx)
+		in, err := cn.buildBatchOperator(n.Input, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &executor.Limit{Input: in, N: n.N}, nil
+		return &executor.BatchLimit{Input: in, N: n.N}, nil
 	case *optimizer.JoinNode:
-		if op, ok, err := cn.buildPartitionWiseJoin(n, ctx); err != nil {
+		if op, ok, err := cn.buildBatchPartitionWiseJoin(n, ctx); err != nil {
 			return nil, err
 		} else if ok {
 			return op, nil
 		}
-		left, err := cn.buildOperator(n.Left, ctx)
+		left, err := cn.buildBatchOperator(n.Left, ctx)
 		if err != nil {
 			return nil, err
 		}
-		right, err := cn.buildOperator(n.Right, ctx)
+		right, err := cn.buildBatchOperator(n.Right, ctx)
 		if err != nil {
 			return nil, err
 		}
 		if len(n.LeftKeys) > 0 {
-			return &executor.HashJoin{Left: left, Right: right,
+			return &executor.BatchHashJoin{Left: left, Right: right,
 				LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
 				Residual: n.On, Outer: n.Outer}, nil
 		}
-		return &executor.NestedLoopJoin{Left: left, Right: right, On: n.On, Outer: n.Outer}, nil
+		return &executor.BatchNestedLoopJoin{Left: left, Right: right, On: n.On, Outer: n.Outer}, nil
 	case *optimizer.AggNode:
-		return cn.buildAgg(n, ctx)
+		return cn.buildBatchAgg(n, ctx)
 	default:
 		return nil, fmt.Errorf("core: cannot execute plan node %T", node)
 	}
+}
+
+// buildBatchAgg lowers aggregation, using the MPP two-phase split when
+// the input is a scan: per-shard fragments compute partial aggregates
+// near the data (or fully inside the column index), and the coordinator
+// merges (§VI-C). Other inputs get a complete-mode hash aggregation.
+func (cn *CN) buildBatchAgg(n *optimizer.AggNode, ctx *queryCtx) (executor.BatchOperator, error) {
+	scan, scanInput := n.Input.(*optimizer.ScanNode)
+	if n.TwoPhase && scanInput && len(scan.PointLookups) == 0 && scan.GSI == nil {
+		return cn.buildBatchTwoPhaseAgg(n, scan, ctx)
+	}
+	in, err := cn.buildBatchOperator(n.Input, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &executor.BatchHashAgg{Input: in, GroupBy: n.GroupBy,
+		Aggs: aggSpecs(n.Aggs), Mode: executor.AggComplete, Names: n.Names}, nil
+}
+
+// fragmentScheds lists the schedulers fragments spread over: this CN's
+// alone, or every CN's under MPP (§VI-C Task Scheduler distributing
+// tasks to CN nodes).
+func (cn *CN) fragmentScheds(ctx *queryCtx) []*htap.Scheduler {
+	if !ctx.mpp {
+		return []*htap.Scheduler{cn.sched}
+	}
+	var scheds []*htap.Scheduler
+	for _, other := range cn.cluster.CNs() {
+		scheds = append(scheds, other.sched)
+	}
+	return scheds
+}
+
+// runFragments starts the fragments on their schedulers and gathers
+// their exchange queues, armed against the statement deadline.
+func runFragments(ctx *queryCtx, assignments []executor.BatchFragmentAssignment) *executor.BatchGather {
+	return executor.RunBatchFragmentsUntil(ctx.group, assignments, executor.DefaultQueueHighWater, obs.Wall, ctx.s.deadline())
+}
+
+// buildBatchTwoPhaseAgg fans one partial-aggregation fragment out per
+// shard; partial states flow back as batches through bounded exchange
+// queues and merge in a final-mode aggregation.
+func (cn *CN) buildBatchTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNode, ctx *queryCtx) (executor.BatchOperator, error) {
+	pushed := cn.pushableAgg(n, scan, ctx)
+	scheds := cn.fragmentScheds(ctx)
+	var assignments []executor.BatchFragmentAssignment
+	for i, shard := range scanShards(scan) {
+		src, err := cn.batchShardSource(scan, shard, ctx, pushed)
+		if err != nil {
+			return nil, err
+		}
+		if st := ctx.statsFor(scan); st != nil {
+			// The scan never passes through buildBatchOperator here
+			// (fragments consume shard sources directly), so every shard
+			// source shares the scan's stats slot, summing rows across
+			// the fan-out.
+			src = executor.InstrumentBatch(src, st)
+		}
+		frag := src
+		if pushed == nil {
+			// Partial aggregation runs in the fragment, near its shard.
+			frag = &executor.BatchHashAgg{Input: src, GroupBy: n.GroupBy,
+				Aggs: aggSpecs(n.Aggs), Mode: executor.AggPartial}
+		}
+		assignments = append(assignments, executor.BatchFragmentAssignment{
+			Op: frag, Sched: scheds[i%len(scheds)],
+		})
+	}
+	return &executor.BatchHashAgg{Input: runFragments(ctx, assignments),
+		GroupBy: finalGroupRefs(len(n.GroupBy)),
+		Aggs:    aggSpecs(n.Aggs), Mode: executor.AggFinal, Names: n.Names}, nil
+}
+
+// buildBatchPartitionWiseJoin executes a partition-wise join (§II-B):
+// both sides share a table group and join on the partition key, so shard
+// i of the left table only ever matches shard i of the right. Each
+// partition group becomes one hash-join fragment running near its data —
+// no redistribution, no cross-shard build table.
+func (cn *CN) buildBatchPartitionWiseJoin(n *optimizer.JoinNode, ctx *queryCtx) (executor.BatchOperator, bool, error) {
+	if !n.PartitionWise || len(n.LeftKeys) == 0 {
+		return nil, false, nil
+	}
+	ls, lok := n.Left.(*optimizer.ScanNode)
+	rs, rok := n.Right.(*optimizer.ScanNode)
+	if !lok || !rok || len(ls.PointLookups) > 0 || len(rs.PointLookups) > 0 {
+		return nil, false, nil
+	}
+	if ls.Table.Shards != rs.Table.Shards {
+		return nil, false, nil
+	}
+	scheds := cn.fragmentScheds(ctx)
+	var assignments []executor.BatchFragmentAssignment
+	for shard := 0; shard < ls.Table.Shards; shard++ {
+		leftSrc, err := cn.batchShardSource(ls, shard, ctx, nil)
+		if err != nil {
+			return nil, false, err
+		}
+		rightSrc, err := cn.batchShardSource(rs, shard, ctx, nil)
+		if err != nil {
+			return nil, false, err
+		}
+		if st := ctx.statsFor(ls); st != nil {
+			leftSrc = executor.InstrumentBatch(leftSrc, st)
+		}
+		if st := ctx.statsFor(rs); st != nil {
+			rightSrc = executor.InstrumentBatch(rightSrc, st)
+		}
+		frag := &executor.BatchHashJoin{Left: leftSrc, Right: rightSrc,
+			LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
+			Residual: n.On, Outer: n.Outer}
+		assignments = append(assignments, executor.BatchFragmentAssignment{
+			Op: frag, Sched: scheds[shard%len(scheds)]})
+	}
+	g := runFragments(ctx, assignments)
+	g.Cols = n.Columns()
+	return g, true, nil
+}
+
+// buildBatchScan lowers a table scan to batch sources. GSI routes and
+// point lookups read their rows here and serve them as batches — a point
+// lookup is a batch of one. TP scans read every shard in parallel
+// through the transaction; AP scans fan out one fragment per shard so
+// the CN's quota gates the heavy work.
+func (cn *CN) buildBatchScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.BatchOperator, error) {
+	cols := scan.Columns()
+	if scan.GSI != nil || len(scan.PointLookups) > 0 {
+		var rows []types.Row
+		var err error
+		if scan.GSI != nil {
+			rows, err = cn.gsiRows(scan, ctx)
+		} else {
+			rows, err = cn.pointRows(scan, ctx)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return executor.NewBatchRowsSource(cols, rows), nil
+	}
+	shards := scanShards(scan)
+	if ctx.tx != nil {
+		return fetchOnce(cols, func() (*vector.Batch, error) {
+			return rowsBatch(cn.parallelTxScan(scan, shards, ctx))
+		}), nil
+	}
+	var assignments []executor.BatchFragmentAssignment
+	for _, shard := range shards {
+		src, err := cn.batchShardSource(scan, shard, ctx, nil)
+		if err != nil {
+			return nil, err
+		}
+		assignments = append(assignments, executor.BatchFragmentAssignment{Op: src, Sched: cn.sched})
+	}
+	g := runFragments(ctx, assignments)
+	g.Cols = cols
+	return g, nil
+}
+
+// scanShards lists the shards a scan reads: its pruned set, or all.
+func scanShards(scan *optimizer.ScanNode) []int {
+	if scan.Shards != nil {
+		return scan.Shards
+	}
+	shards := make([]int, scan.Table.Shards)
+	for i := range shards {
+		shards[i] = i
+	}
+	return shards
+}
+
+// fetchOnce serves one deferred fetch as a source. The fetch runs on
+// the first NextBatch, so a fragment job pays for it on its own
+// scheduler worker.
+func fetchOnce(cols []string, fetch func() (*vector.Batch, error)) executor.BatchOperator {
+	fetched := false
+	return &executor.BatchCallbackSource{Cols: cols, Fetch: func() (*vector.Batch, error) {
+		if fetched {
+			return nil, nil
+		}
+		fetched = true
+		return fetch()
+	}}
+}
+
+// rowsBatch columnarizes a fetched row set into one batch (nil when
+// there are no rows).
+func rowsBatch(rows []types.Row, err error) (*vector.Batch, error) {
+	if err != nil || len(rows) == 0 {
+		return nil, err
+	}
+	return vector.FromRows(rows, len(rows[0])), nil
+}
+
+// batchShardSource builds the source for one shard of a scan, with
+// filter/projection pushdown. TP reads scan through the transaction's
+// branch on the RW leader. AP reads go to the AP target: an RO
+// columnarizes once at the source (WantBatch) — or answers zero-copy, or
+// with pushed partial aggregation, from its column index — and the batch
+// crosses simnet without a pivot back to rows; with no RO the leader
+// serves through an ephemeral branch.
+func (cn *CN) batchShardSource(scan *optimizer.ScanNode, shard int, ctx *queryCtx, pushed *dn.PushAgg) (executor.BatchOperator, error) {
+	dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
+	if err != nil {
+		return nil, err
+	}
+	cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
+	physTable := scan.Table.PhysicalTableID(shard)
+	cols := scan.Columns()
+	req := dn.ScanReq{Table: physTable, Filter: scan.Filter, Projection: scan.Projection}
+	if ctx.tx != nil {
+		return fetchOnce(cols, func() (*vector.Batch, error) {
+			return rowsBatch(ctx.tx.ScanReq(dnName, req))
+		}), nil
+	}
+	target, minLSN := cn.apTarget(ctx, dnName)
+	if target == dnName {
+		return fetchOnce(cols, func() (*vector.Batch, error) {
+			tmp, err := cn.coord.Begin()
+			if err != nil {
+				return nil, err
+			}
+			defer tmp.Abort()
+			return rowsBatch(tmp.ScanReq(dnName, req))
+		}), nil
+	}
+	roReq := dn.ROScanReq{
+		Table: physTable, SnapshotTS: ctx.snapshot, MinLSN: minLSN,
+		Filter: scan.Filter, Projection: scan.Projection,
+		UseColumnIndex: scan.UseColumnIndex, Aggregate: pushed,
+		WantBatch: true,
+	}
+	return fetchOnce(cols, func() (*vector.Batch, error) {
+		resp, err := cn.coord.ScanROBatch(target, roReq)
+		if err != nil || resp.Batch != nil {
+			return resp.Batch, err
+		}
+		return rowsBatch(resp.Rows, nil)
+	}), nil
 }
 
 // aggSpecs converts optimizer aggregates to executor specs.
@@ -222,69 +453,6 @@ func aggSpecs(items []optimizer.AggItem) []executor.AggSpec {
 		out[i] = executor.AggSpec{Func: a.Func, Arg: a.Arg, Star: a.Star, Distinct: a.Distinct}
 	}
 	return out
-}
-
-// buildAgg lowers aggregation, using the MPP two-phase split when the
-// input is a scan: per-shard fragments compute partial aggregates near
-// the data (or fully inside the column index), and the coordinator
-// merges (§VI-C).
-func (cn *CN) buildAgg(n *optimizer.AggNode, ctx *queryCtx) (executor.Operator, error) {
-	scan, scanInput := n.Input.(*optimizer.ScanNode)
-	if n.TwoPhase && scanInput && len(scan.PointLookups) == 0 && scan.GSI == nil {
-		return cn.buildTwoPhaseAgg(n, scan, ctx)
-	}
-	in, err := cn.buildOperator(n.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &executor.HashAgg{Input: in, GroupBy: n.GroupBy,
-		Aggs: aggSpecs(n.Aggs), Mode: executor.AggComplete, Names: n.Names}, nil
-}
-
-// buildTwoPhaseAgg fans one partial-aggregation fragment out per shard.
-func (cn *CN) buildTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNode, ctx *queryCtx) (executor.Operator, error) {
-	shards := scan.Shards
-	if shards == nil {
-		for i := 0; i < scan.Table.Shards; i++ {
-			shards = append(shards, i)
-		}
-	}
-	pushed := cn.pushableAgg(n, scan, ctx)
-	scheds := []*htap.Scheduler{cn.sched}
-	if ctx.mpp {
-		// MPP: spread fragments across every CN's scheduler (§VI-C Task
-		// Scheduler distributing tasks to CN nodes).
-		scheds = nil
-		for _, other := range cn.cluster.CNs() {
-			scheds = append(scheds, other.sched)
-		}
-	}
-	var assignments []executor.FragmentAssignment
-	for i, shard := range shards {
-		src, err := cn.shardSource(scan, shard, ctx, pushed)
-		if err != nil {
-			return nil, err
-		}
-		var frag executor.Operator = src
-		if st := ctx.statsFor(scan); st != nil {
-			// The scan never passes through buildOperator here (fragments
-			// consume shard sources directly), so attach its stats to each
-			// source; the shared slot sums rows across shards.
-			frag = executor.Instrument(src, st)
-		}
-		if pushed == nil {
-			// Partial aggregation runs in the fragment, near its shard.
-			frag = &executor.HashAgg{Input: frag, GroupBy: n.GroupBy,
-				Aggs: aggSpecs(n.Aggs), Mode: executor.AggPartial}
-		}
-		assignments = append(assignments, executor.FragmentAssignment{
-			Op: frag, Sched: scheds[i%len(scheds)],
-		})
-	}
-	gather := executor.RunFragments(ctx.group, assignments)
-	finalGroup := finalGroupRefs(len(n.GroupBy))
-	return &executor.HashAgg{Input: gather, GroupBy: finalGroup,
-		Aggs: aggSpecs(n.Aggs), Mode: executor.AggFinal, Names: n.Names}, nil
 }
 
 // finalGroupRefs builds the final-merge group keys: after the partial
@@ -350,157 +518,36 @@ func boundExpr(e sql.Expr) bool {
 	return ok
 }
 
-// buildPartitionWiseJoin executes a partition-wise join (§II-B): both
-// sides share a table group and join on the partition key, so shard i
-// of the left table only ever matches shard i of the right. Each
-// partition group becomes one join fragment running near its data — no
-// redistribution, no cross-shard build table.
-func (cn *CN) buildPartitionWiseJoin(n *optimizer.JoinNode, ctx *queryCtx) (executor.Operator, bool, error) {
-	if !n.PartitionWise || len(n.LeftKeys) == 0 {
-		return nil, false, nil
-	}
-	ls, lok := n.Left.(*optimizer.ScanNode)
-	rs, rok := n.Right.(*optimizer.ScanNode)
-	if !lok || !rok || len(ls.PointLookups) > 0 || len(rs.PointLookups) > 0 {
-		return nil, false, nil
-	}
-	if ls.Table.Shards != rs.Table.Shards {
-		return nil, false, nil
-	}
-	scheds := []*htap.Scheduler{cn.sched}
-	if ctx.mpp {
-		scheds = nil
-		for _, other := range cn.cluster.CNs() {
-			scheds = append(scheds, other.sched)
-		}
-	}
-	var assignments []executor.FragmentAssignment
-	for shard := 0; shard < ls.Table.Shards; shard++ {
-		var leftSrc, rightSrc executor.Operator
-		var err error
-		leftSrc, err = cn.shardSource(ls, shard, ctx, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		rightSrc, err = cn.shardSource(rs, shard, ctx, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		if st := ctx.statsFor(ls); st != nil {
-			leftSrc = executor.Instrument(leftSrc, st)
-		}
-		if st := ctx.statsFor(rs); st != nil {
-			rightSrc = executor.Instrument(rightSrc, st)
-		}
-		frag := &executor.HashJoin{Left: leftSrc, Right: rightSrc,
-			LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
-			Residual: n.On, Outer: n.Outer}
-		assignments = append(assignments, executor.FragmentAssignment{
-			Op: frag, Sched: scheds[shard%len(scheds)]})
-	}
-	g := executor.RunFragments(ctx.group, assignments)
-	g.Cols = n.Columns()
-	return g, true, nil
-}
-
-// buildScan lowers a table scan: GSI routes, point lookups, or
-// per-shard sources gathered together.
-func (cn *CN) buildScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.Operator, error) {
-	cols := scan.Columns()
-	if scan.GSI != nil {
-		rows, err := cn.gsiRows(scan, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return executor.NewRowsSource(cols, rows), nil
-	}
-	if len(scan.PointLookups) > 0 {
-		rows, err := cn.pointRows(scan, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return executor.NewRowsSource(cols, rows), nil
-	}
-	shards := scan.Shards
-	if shards == nil {
-		for i := 0; i < scan.Table.Shards; i++ {
-			shards = append(shards, i)
-		}
-	}
-	if ctx.tx != nil {
-		if len(shards) == 1 || cn.cluster.cfg.NoBatch {
-			// Single shard, or legacy mode: sequential shard scans inside
-			// the transaction.
-			inputs := make([]executor.Operator, 0, len(shards))
-			for _, shard := range shards {
-				src, err := cn.shardSource(scan, shard, ctx, nil)
-				if err != nil {
-					return nil, err
-				}
-				inputs = append(inputs, src)
-			}
-			if len(inputs) == 1 {
-				return inputs[0], nil
-			}
-			return &executor.Gather{Cols: cols, Inputs: inputs}, nil
-		}
-		// TP fast path: fan the shard scans out in parallel under the
-		// transaction (one branch RPC per shard, concurrently — the same
-		// shape as the 2PC prepare fan-out), so a multi-shard TP statement
-		// pays one round trip, not one per shard.
-		fetched := false
-		return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
-			if fetched {
-				return nil, nil
-			}
-			fetched = true
-			return cn.parallelTxScan(scan, shards, ctx)
-		}}, nil
-	}
-	// AP path: each shard fetch is a scheduled fragment so the CN's
-	// quota gates the heavy work.
-	var assignments []executor.FragmentAssignment
-	for _, shard := range shards {
-		src, err := cn.shardSource(scan, shard, ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		assignments = append(assignments, executor.FragmentAssignment{Op: src, Sched: cn.sched})
-	}
-	g := executor.RunFragments(ctx.group, assignments)
-	g.Cols = cols
-	return g, nil
-}
-
-// parallelTxScan runs one branch-scoped ScanReq per shard concurrently
-// and concatenates the results in shard order (deterministic output).
+// parallelTxScan runs one branch-scoped ScanReq per shard, concurrently
+// (one branch RPC per shard — the same shape as the 2PC prepare
+// fan-out), so a multi-shard TP statement pays one round trip, not one
+// per shard. Results concatenate in shard order (deterministic output).
 func (cn *CN) parallelTxScan(scan *optimizer.ScanNode, shards []int, ctx *queryCtx) ([]types.Row, error) {
-	type shardTarget struct {
-		dn    string
-		table uint32
-	}
-	targets := make([]shardTarget, len(shards))
+	dns := make([]string, len(shards))
+	reqs := make([]dn.ScanReq, len(shards))
 	for i, shard := range shards {
 		dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
 		if err != nil {
 			return nil, err
 		}
 		cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
-		targets[i] = shardTarget{dn: dnName, table: scan.Table.PhysicalTableID(shard)}
+		dns[i] = dnName
+		reqs[i] = dn.ScanReq{Table: scan.Table.PhysicalTableID(shard), Filter: scan.Filter, Projection: scan.Projection}
 	}
-	rows := make([][]types.Row, len(targets))
-	errs := make(chan error, len(targets))
-	for i, tg := range targets {
-		go func(i int, tg shardTarget) {
-			rs, err := ctx.tx.ScanReq(tg.dn, dn.ScanReq{
-				Table: tg.table, Filter: scan.Filter, Projection: scan.Projection,
-			})
-			rows[i] = rs
+	if len(shards) == 1 {
+		return ctx.tx.ScanReq(dns[0], reqs[0])
+	}
+	rows := make([][]types.Row, len(shards))
+	errs := make(chan error, len(shards))
+	for i := range shards {
+		go func(i int) {
+			var err error
+			rows[i], err = ctx.tx.ScanReq(dns[i], reqs[i])
 			errs <- err
-		}(i, tg)
+		}(i)
 	}
 	var firstErr error
-	for range targets {
+	for range shards {
 		if err := <-errs; err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -508,7 +555,7 @@ func (cn *CN) parallelTxScan(scan *optimizer.ScanNode, shards []int, ctx *queryC
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	out := []types.Row{}
+	var out []types.Row
 	for _, rs := range rows {
 		out = append(out, rs...)
 	}
@@ -527,12 +574,8 @@ type pointGroup struct {
 // grouped by owning DN and each group goes out as ONE MultiGet RPC, all
 // DNs in parallel — a statement touching K keys on N DNs pays N round
 // trips instead of K (the Fig. 7 point-read path). Results are
-// reassembled in statement key order, so output matches the per-key path
-// exactly.
+// reassembled in statement key order.
 func (cn *CN) pointRows(scan *optimizer.ScanNode, ctx *queryCtx) ([]types.Row, error) {
-	if cn.cluster.cfg.NoBatch {
-		return cn.pointRowsSeq(scan, ctx)
-	}
 	groups := make(map[string]*pointGroup)
 	var order []*pointGroup // deterministic first-seen fan-out order
 	for k, pk := range scan.PointLookups {
@@ -616,56 +659,6 @@ func (cn *CN) pointRows(scan *optimizer.ScanNode, ctx *queryCtx) ([]types.Row, e
 			}
 		}
 		out = append(out, r.Row)
-	}
-	return out, nil
-}
-
-// pointRowsSeq is the legacy per-key path (Config.NoBatch): one RPC per
-// key, kept as the equivalence baseline for the fast path.
-func (cn *CN) pointRowsSeq(scan *optimizer.ScanNode, ctx *queryCtx) ([]types.Row, error) {
-	var out []types.Row
-	for _, pk := range scan.PointLookups {
-		shard := scan.Table.ShardOfPK(pk)
-		dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
-		if err != nil {
-			return nil, err
-		}
-		cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
-		var row types.Row
-		var ok bool
-		if ctx.tx != nil {
-			row, ok, err = ctx.tx.Get(dnName, scan.Table.PhysicalTableID(shard), pk)
-		} else {
-			target, minLSN := cn.apTarget(ctx, dnName)
-			if target == dnName {
-				// No RO: read through an ephemeral branch on the leader.
-				tmp, terr := cn.coord.Begin()
-				if terr != nil {
-					return nil, terr
-				}
-				row, ok, err = tmp.Get(dnName, scan.Table.PhysicalTableID(shard), pk)
-				_ = tmp.Abort()
-			} else {
-				row, ok, err = cn.coord.ReadRO(target, scan.Table.PhysicalTableID(shard), pk, ctx.snapshot, minLSN)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		// The pushed filter may carry residual conditions beyond the PK.
-		if scan.Filter != nil {
-			v, err := sql.Eval(scan.Filter, row)
-			if err != nil {
-				return nil, err
-			}
-			if !v.IsTruthy() {
-				continue
-			}
-		}
-		out = append(out, row)
 	}
 	return out, nil
 }
@@ -792,87 +785,4 @@ func (cn *CN) apTarget(ctx *queryCtx, dnName string) (string, wal.LSN) {
 		return dnName, 0
 	}
 	return target, ctx.s.minLSNFor(dnName)
-}
-
-// shardSource builds the row source for one shard of a scan, with
-// filter/projection pushdown and (for AP column-index scans) optional
-// pushed aggregation.
-func (cn *CN) shardSource(scan *optimizer.ScanNode, shard int, ctx *queryCtx, pushed *dn.PushAgg) (executor.Operator, error) {
-	dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
-	if err != nil {
-		return nil, err
-	}
-	cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
-	physTable := scan.Table.PhysicalTableID(shard)
-	cols := scan.Columns()
-
-	if ctx.tx != nil {
-		// TP path: branch-scoped scan on the RW leader.
-		fetched := false
-		return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
-			if fetched {
-				return nil, nil
-			}
-			fetched = true
-			rows, err := ctx.tx.ScanReq(dnName, dn.ScanReq{
-				Table: physTable, Filter: scan.Filter, Projection: scan.Projection,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if rows == nil {
-				rows = []types.Row{}
-			}
-			return rows, nil
-		}}, nil
-	}
-
-	// AP path: snapshot read on the AP target (RO or leader).
-	target, minLSN := cn.apTarget(ctx, dnName)
-	req := dn.ROScanReq{
-		Table: physTable, SnapshotTS: ctx.snapshot, MinLSN: minLSN,
-		Filter: scan.Filter, Projection: scan.Projection,
-		UseColumnIndex: scan.UseColumnIndex, Aggregate: pushed,
-	}
-	if target == dnName {
-		// AP load routed to the RW leader (shared-resource configs):
-		// scan through an ephemeral branch.
-		fetched := false
-		return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
-			if fetched {
-				return nil, nil
-			}
-			fetched = true
-			tmp, err := cn.coord.Begin()
-			if err != nil {
-				return nil, err
-			}
-			defer tmp.Abort()
-			rows, err := tmp.ScanReq(dnName, dn.ScanReq{
-				Table: physTable, Filter: scan.Filter, Projection: scan.Projection,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if rows == nil {
-				rows = []types.Row{}
-			}
-			return rows, nil
-		}}, nil
-	}
-	fetched := false
-	return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
-		if fetched {
-			return nil, nil
-		}
-		fetched = true
-		rows, err := cn.coord.ScanROReq(target, req)
-		if err != nil {
-			return nil, err
-		}
-		if rows == nil {
-			rows = []types.Row{}
-		}
-		return rows, nil
-	}}, nil
 }

@@ -490,9 +490,10 @@ func (i *Instance) status() StatusResp {
 	}
 	for _, ro := range i.ros {
 		st.ROs = append(st.ROs, ROStatus{
-			Name:       ro.name,
-			AppliedLSN: ro.appliedLSN(),
-			Evicted:    i.evicted[ro.name],
+			Name:         ro.name,
+			AppliedLSN:   ro.appliedLSN(),
+			Evicted:      i.evicted[ro.name],
+			DecodeErrors: ro.decodeErrs.Load(),
 		})
 	}
 	return st

@@ -183,6 +183,10 @@ type Instance struct {
 	// mDeadline counts requests refused or unparked because their
 	// statement deadline expired (nil-safe).
 	mDeadline *obs.Counter
+	// mROEvicted counts replicas kicked out of the redo stream (lag or a
+	// purged position); mROShipErrs counts redo ranges the shipper could
+	// not read (nil-safe).
+	mROEvicted, mROShipErrs *obs.Counter
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -215,6 +219,8 @@ func NewInstance(cfg Config) (*Instance, error) {
 		finished:    make(map[uint64]finishedTxn),
 		inDoubtSeen: make(map[uint64]time.Time),
 		mDeadline:   cfg.Metrics.Counter("deadline.exceeded"),
+		mROEvicted:  cfg.Metrics.Counter("ro.evicted"),
+		mROShipErrs: cfg.Metrics.Counter("ro.ship_errors"),
 		done:        make(chan struct{}),
 	}
 	inst.applier = storage.NewApplier(inst.eng)

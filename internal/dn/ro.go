@@ -1,6 +1,7 @@
 package dn
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -33,11 +34,25 @@ type RO struct {
 	// exceeds the limit.
 	applyDelay atomic.Int64 // nanoseconds per batch
 
-	mu      sync.Mutex
+	// applyMu serializes ingest end to end: the position check, decode,
+	// apply and the advance of applied. simnet delivers every shipped
+	// batch on its own goroutine, so without it two batches could apply
+	// concurrently and out of order, and applied could move backwards.
+	applyMu sync.Mutex
+	// decodeErrs counts shipped batches that failed to decode; nothing
+	// from them was applied (reported in ROStatus).
+	decodeErrs atomic.Uint64
+
+	mu sync.Mutex
+	// applied is the replica's redo position: everything below it is
+	// applied, and the next shipped batch must start exactly here. It is
+	// monotone (purge bounds and session-consistent reads trust it).
 	applied wal.LSN
-	expect  wal.LSN // next expected stream offset
 	waiters []roWaiter
 	stopped bool
+	// evicted: the instance cut this replica off the redo stream, so it
+	// can never catch up and refuses reads.
+	evicted bool
 	ingests uint64
 
 	// colBuilder, when non-nil, maintains in-memory column indexes fed
@@ -51,6 +66,10 @@ type RO struct {
 	compressOff bool
 	metrics     *obs.Registry
 }
+
+// ErrROEvicted is returned by reads on a replica the instance evicted
+// (lagging beyond its limit, or its redo position purged).
+var ErrROEvicted = errors.New("dn: read-only replica evicted")
 
 type roWaiter struct {
 	lsn wal.LSN
@@ -105,7 +124,6 @@ func (i *Instance) AddRO(name string) (*RO, error) {
 	i.roCur[name] = base
 	i.roAck[name] = base
 	ro.mu.Lock()
-	ro.expect = base
 	ro.applied = base
 	ro.mu.Unlock()
 	return ro, nil
@@ -173,7 +191,7 @@ func (i *Instance) shipToROs() {
 		}
 		// Eviction check: lag beyond the limit gets the replica kicked.
 		if limit-i.roAck[name] > i.cfg.ROLagLimit {
-			i.evicted[name] = true
+			i.evictLocked(name)
 			continue
 		}
 		jobs = append(jobs, job{name: name, from: cur})
@@ -184,9 +202,42 @@ func (i *Instance) shipToROs() {
 	for _, j := range jobs {
 		raw, err := log.ReadBytes(j.from, limit)
 		if err != nil {
+			i.shipFailed(j.name, j.from, err)
 			continue
 		}
 		i.cfg.Net.Send(i.cfg.Name, j.name, roAppendMsg{Start: j.from, Bytes: raw}, nil)
+	}
+}
+
+// shipFailed handles a redo range the shipper could not read. The
+// cursor goes back to the range start (or the replica's acked position,
+// if that is further) so a transient failure retries next round. The
+// cursor never sits below the acked position and purge never passes it,
+// so a purged range means that invariant broke: the replica is evicted,
+// counted, instead of wedging silently.
+func (i *Instance) shipFailed(name string, from wal.LSN, err error) {
+	i.mROShipErrs.Add(1)
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	if from < i.roCur[name] {
+		i.roCur[name] = max(from, i.roAck[name])
+	}
+	if errors.Is(err, wal.ErrPurged) {
+		i.evictLocked(name)
+	}
+}
+
+// evictLocked kicks a replica out of the redo stream; caller holds i.mu.
+func (i *Instance) evictLocked(name string) {
+	if i.evicted[name] {
+		return
+	}
+	i.evicted[name] = true
+	i.mROEvicted.Add(1)
+	for _, ro := range i.ros {
+		if ro.name == name {
+			ro.evict()
+		}
 	}
 }
 
@@ -197,9 +248,14 @@ func (i *Instance) handleROAck(m roAck) {
 	if m.Applied > i.roAck[m.From] {
 		i.roAck[m.From] = m.Applied
 	}
-	// A rewind request (gap) moves the cursor back.
-	if m.Applied < i.roCur[m.From] {
-		i.roCur[m.From] = m.Applied
+	// The shipping cursor never sits below the best acked position: the
+	// replica is known to be there, and redo below it may already be
+	// purged. An ack behind the cursor is a rewind request (gap) — acks
+	// travel on goroutines of their own, so it may also just be stale —
+	// and an ack ahead of it (a batch shipped before a rewind applied)
+	// moves the cursor forward.
+	if acked := i.roAck[m.From]; m.Applied < i.roCur[m.From] || i.roCur[m.From] < acked {
+		i.roCur[m.From] = acked
 	}
 }
 
@@ -240,6 +296,20 @@ func (r *RO) appliedLSN() wal.LSN {
 	return r.applied
 }
 
+// evict marks the replica cut off from the redo stream: waiting readers
+// are released and every read fails with ErrROEvicted rather than
+// waiting for redo that will never come.
+func (r *RO) evict() {
+	r.mu.Lock()
+	r.evicted = true
+	ws := r.waiters
+	r.waiters = nil
+	r.mu.Unlock()
+	for _, w := range ws {
+		close(w.ch)
+	}
+}
+
 func (r *RO) stop() {
 	r.mu.Lock()
 	r.stopped = true
@@ -275,24 +345,32 @@ func (r *RO) ingest(from string, m roAppendMsg) {
 	if d := r.applyDelay.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
-	r.mu.Lock()
-	if m.Start != r.expect {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
+	applied := r.appliedLSN()
+	if m.Start != applied {
 		// Out-of-order batch (a rewind already served it, or a gap):
 		// re-ack our position so the shipper realigns.
-		applied := r.applied
-		r.mu.Unlock()
 		r.net.Send(r.name, from, roAck{From: r.name, Applied: applied}, nil)
 		return
 	}
-	r.expect = m.Start + wal.LSN(len(m.Bytes))
-	r.mu.Unlock()
-
 	recs, err := wal.DecodeAll(m.Bytes)
-	if err == nil {
-		r.applyRecords(recs)
+	if err != nil {
+		// Apply nothing and stay put. The re-ack rewinds the shipper to
+		// this position; a range that never decodes leaves the replica
+		// lagging until the instance evicts it.
+		r.decodeErrs.Add(1)
+		r.net.Send(r.name, from, roAck{From: r.name, Applied: applied}, nil)
+		return
 	}
+	r.applyRecords(recs)
+	end := m.Start + wal.LSN(len(m.Bytes))
 	r.mu.Lock()
-	r.applied = m.Start + wal.LSN(len(m.Bytes))
+	if end < r.applied {
+		r.mu.Unlock()
+		panic(fmt.Sprintf("dn: ro %s: applied LSN moved backwards: %d -> %d", r.name, r.applied, end))
+	}
+	r.applied = end
 	r.ingests++
 	vacuumDue := r.ingests%256 == 0
 	var ready []roWaiter
@@ -305,7 +383,6 @@ func (r *RO) ingest(from string, m roAppendMsg) {
 		}
 	}
 	r.waiters = remaining
-	applied := r.applied
 	r.mu.Unlock()
 	for _, w := range ready {
 		close(w.ch)
@@ -317,7 +394,7 @@ func (r *RO) ingest(from string, m roAppendMsg) {
 		horizon := hlc.New(hlc.WallClock()-vacuumWindowMs, 0)
 		r.eng.Vacuum(horizon)
 	}
-	r.net.Send(r.name, from, roAck{From: r.name, Applied: applied}, nil)
+	r.net.Send(r.name, from, roAck{From: r.name, Applied: end}, nil)
 }
 
 // vacuumWindowMs bounds how far behind "now" an RO snapshot may lag and
@@ -351,21 +428,34 @@ func (r *RO) applyRecords(recs []wal.Record) {
 
 // waitApplied blocks until the applied LSN reaches lsn (session
 // consistency: §II-C "The RO will wait until its snapshot version number
-// is no less than LSN_RW before processing the query").
-func (r *RO) waitApplied(lsn wal.LSN) {
+// is no less than LSN_RW before processing the query"). An evicted
+// replica fails with ErrROEvicted.
+func (r *RO) waitApplied(lsn wal.LSN) error {
 	r.mu.Lock()
+	if r.evicted {
+		r.mu.Unlock()
+		return fmt.Errorf("%w: %s", ErrROEvicted, r.name)
+	}
 	if r.applied >= lsn || r.stopped {
 		r.mu.Unlock()
-		return
+		return nil
 	}
 	ch := make(chan struct{})
 	r.waiters = append(r.waiters, roWaiter{lsn: lsn, ch: ch})
 	r.mu.Unlock()
 	<-ch
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.evicted {
+		return fmt.Errorf("%w: %s", ErrROEvicted, r.name)
+	}
+	return nil
 }
 
 func (r *RO) read(m ROReadReq) (ReadResp, error) {
-	r.waitApplied(m.MinLSN)
+	if err := r.waitApplied(m.MinLSN); err != nil {
+		return ReadResp{}, err
+	}
 	r.svc.serve(pointCost)
 	row, ok, err := r.eng.GetAt(m.Table, m.PK, m.SnapshotTS)
 	return ReadResp{Row: row, OK: ok}, err
@@ -374,7 +464,9 @@ func (r *RO) read(m ROReadReq) (ReadResp, error) {
 // multiGet serves a batch of session-consistent point reads in one
 // round trip: wait for the watermark once, then answer every key.
 func (r *RO) multiGet(m ROMultiGetReq) (MultiGetResp, error) {
-	r.waitApplied(m.MinLSN)
+	if err := r.waitApplied(m.MinLSN); err != nil {
+		return MultiGetResp{}, err
+	}
 	r.svc.serve(pointCost * float64(len(m.Gets)))
 	out := make([]ReadResp, len(m.Gets))
 	for k, g := range m.Gets {
@@ -466,7 +558,9 @@ func (r *RO) ColumnIndex(tableID uint32) (*colindex.Index, bool) {
 }
 
 func (r *RO) scan(m ROScanReq) (ScanResp, error) {
-	r.waitApplied(m.MinLSN)
+	if err := r.waitApplied(m.MinLSN); err != nil {
+		return ScanResp{}, err
+	}
 	if m.UseColumnIndex {
 		if b := r.colBuilder.Load(); b != nil {
 			if ix, ok := b.Index(m.Table); ok {

@@ -297,6 +297,9 @@ type ROStatus struct {
 	Name       string
 	AppliedLSN wal.LSN
 	Evicted    bool
+	// DecodeErrors counts shipped redo batches the replica could not
+	// decode (and so did not apply).
+	DecodeErrors uint64
 }
 
 // schemaJSON is the wire form of a schema for DDL replication.

@@ -1,10 +1,14 @@
-// Batch execution mode (§VI-C/§VI-E): operators exchange column-major
-// vector.Batch values (~1024 rows) instead of single rows. Iteration,
-// predicate evaluation, group-key hashing and exchange locking amortize
-// over the batch, which is where the Fig. 10 MPP and column-index
-// speedups come from. Row mode (Operator) remains the TP path and the
-// equivalence baseline; adapters below bridge the two worlds so every
-// plan shape stays executable in either mode.
+// Package executor implements PolarDB-X's query execution engine and
+// the MPP fragment machinery (paper §VI-C/§VI-E). Every plan runs on
+// batch operators that exchange column-major vector.Batch values (~1024
+// rows) instead of single rows: scan sources, filter, project, hash and
+// nested-loop joins, hash aggregation with a partial/final split, sort
+// and limit, plus bounded exchange queues with producer backpressure
+// between fragments and cooperative fragment jobs on the htap
+// time-sliced scheduler. Iteration, predicate evaluation, group-key
+// hashing and exchange locking amortize over the batch, which is where
+// the Fig. 10 MPP and column-index speedups come from; a TP point lookup
+// is simply a batch of one.
 package executor
 
 import (
@@ -13,6 +17,9 @@ import (
 	"repro/internal/types"
 	"repro/internal/vector"
 )
+
+// ErrEOF signals operator exhaustion.
+var ErrEOF = errors.New("executor: end of rows")
 
 // BatchOperator is the batch-at-a-time volcano interface. NextBatch
 // transfers ownership of the returned batch to the caller (see the
@@ -23,35 +30,6 @@ type BatchOperator interface {
 	NextBatch() (*vector.Batch, error)
 	Close() error
 }
-
-// BatchesSource serves pre-built batches (columnarized DN responses,
-// zero-copy column-index scans, test fixtures).
-type BatchesSource struct {
-	Cols    []string
-	Batches []*vector.Batch
-	pos     int
-}
-
-// Columns implements BatchOperator.
-func (s *BatchesSource) Columns() []string { return s.Cols }
-
-// Open implements BatchOperator.
-func (s *BatchesSource) Open() error { s.pos = 0; return nil }
-
-// NextBatch implements BatchOperator.
-func (s *BatchesSource) NextBatch() (*vector.Batch, error) {
-	for s.pos < len(s.Batches) {
-		b := s.Batches[s.pos]
-		s.pos++
-		if b != nil && b.NumRows() > 0 {
-			return b, nil
-		}
-	}
-	return nil, ErrEOF
-}
-
-// Close implements BatchOperator.
-func (s *BatchesSource) Close() error { return nil }
 
 // BatchCallbackSource pulls batches lazily from a fetch function (how
 // DN shard scans stream into the batch executor; fetch returns nil when
@@ -90,111 +68,46 @@ func (s *BatchCallbackSource) NextBatch() (*vector.Batch, error) {
 // Close implements BatchOperator.
 func (s *BatchCallbackSource) Close() error { return nil }
 
-// NewBatchRowsSource columnarizes a row slice into batches of the
-// default size (the batch analogue of NewRowsSource).
-func NewBatchRowsSource(cols []string, rows []types.Row) *BatchesSource {
-	return &BatchesSource{Cols: cols, Batches: BatchesFromRows(rows, len(cols))}
+// BatchRowsSource serves materialized rows (DN point reads, GSI
+// routes, VALUES lists, sorted or aggregated output) as batches of up to
+// vector.DefaultSize rows, columnarized one batch at a time. A point
+// lookup is a batch of one.
+type BatchRowsSource struct {
+	Cols []string
+	Rows []types.Row
+	pos  int
 }
 
-// BatchesFromRows splits rows into DefaultSize batches, ncols wide.
-func BatchesFromRows(rows []types.Row, ncols int) []*vector.Batch {
-	var out []*vector.Batch
-	for len(rows) > 0 {
-		n := vector.DefaultSize
-		if n > len(rows) {
-			n = len(rows)
-		}
-		out = append(out, vector.FromRows(rows[:n], ncols))
-		rows = rows[n:]
-	}
-	return out
-}
-
-// RowToBatch adapts a row operator to the batch interface by buffering
-// DefaultSize rows per batch — the bridge for plan shapes with no
-// native batch implementation (GSI routes, point lookups).
-type RowToBatch struct {
-	Op Operator
+// NewBatchRowsSource builds a source over rows with the given columns.
+func NewBatchRowsSource(cols []string, rows []types.Row) *BatchRowsSource {
+	return &BatchRowsSource{Cols: cols, Rows: rows}
 }
 
 // Columns implements BatchOperator.
-func (a *RowToBatch) Columns() []string { return a.Op.Columns() }
+func (s *BatchRowsSource) Columns() []string { return s.Cols }
 
 // Open implements BatchOperator.
-func (a *RowToBatch) Open() error { return a.Op.Open() }
+func (s *BatchRowsSource) Open() error { s.pos = 0; return nil }
 
 // NextBatch implements BatchOperator.
-func (a *RowToBatch) NextBatch() (*vector.Batch, error) {
-	b := vector.NewBatch(len(a.Op.Columns()))
-	for b.NumRows() < vector.DefaultSize {
-		row, err := a.Op.Next()
-		if errors.Is(err, ErrEOF) {
-			break
-		}
-		if err != nil {
-			b.Release()
-			return nil, err
-		}
-		b.AppendRow(row)
-	}
-	if b.NumRows() == 0 {
-		b.Release()
+func (s *BatchRowsSource) NextBatch() (*vector.Batch, error) {
+	if s.pos >= len(s.Rows) {
 		return nil, ErrEOF
 	}
+	n := len(s.Rows) - s.pos
+	if n > vector.DefaultSize {
+		n = vector.DefaultSize
+	}
+	b := vector.FromRows(s.Rows[s.pos:s.pos+n], len(s.Cols))
+	s.pos += n
 	return b, nil
 }
 
 // Close implements BatchOperator.
-func (a *RowToBatch) Close() error { return a.Op.Close() }
-
-// BatchToRow adapts a batch operator to the row interface (final
-// merges that still run row-at-a-time, mixed-mode plans).
-type BatchToRow struct {
-	Op  BatchOperator
-	cur *vector.Batch
-	pos int
-}
-
-// Columns implements Operator.
-func (a *BatchToRow) Columns() []string { return a.Op.Columns() }
-
-// Open implements Operator.
-func (a *BatchToRow) Open() error {
-	a.cur, a.pos = nil, 0
-	return a.Op.Open()
-}
-
-// Next implements Operator.
-func (a *BatchToRow) Next() (types.Row, error) {
-	for {
-		if a.cur != nil && a.pos < a.cur.NumRows() {
-			row := a.cur.Row(a.pos)
-			a.pos++
-			return row, nil
-		}
-		if a.cur != nil {
-			a.cur.Release()
-			a.cur = nil
-		}
-		b, err := a.Op.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		a.cur, a.pos = b, 0
-	}
-}
-
-// Close implements Operator.
-func (a *BatchToRow) Close() error {
-	if a.cur != nil {
-		a.cur.Release()
-		a.cur = nil
-	}
-	return a.Op.Close()
-}
+func (s *BatchRowsSource) Close() error { return nil }
 
 // CollectBatch drains a batch operator into rows (the coordinator's
-// final gather in batch mode).
+// final gather).
 func CollectBatch(op BatchOperator) ([]types.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, err

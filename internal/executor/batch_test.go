@@ -3,6 +3,7 @@ package executor
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -36,8 +37,7 @@ func mixedRows(n int) []types.Row {
 
 var mixedCols = []string{"c0", "c1", "c2", "c3"}
 
-// assertSameRows requires positionally identical output (the row and
-// batch operators are engineered to produce identical orders).
+// assertSameRows requires positionally identical output.
 func assertSameRows(t *testing.T, label string, got, want []types.Row) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -56,17 +56,133 @@ func assertSameRows(t *testing.T, label string, got, want []types.Row) {
 	}
 }
 
-// runBoth executes the same plan shape in row and batch mode over rows.
-func runBoth(t *testing.T, label string, rows []types.Row, cols []string,
-	rowOp func(Operator) Operator, batchOp func(BatchOperator) BatchOperator) {
+// The ref* functions are row-at-a-time reference oracles: plain loops
+// over sql.Eval stating each operator's contract, which the typed and
+// encoded batch kernels must reproduce exactly.
+
+func mustEval(t *testing.T, e sql.Expr, row types.Row) types.Value {
 	t.Helper()
-	want, err := Collect(rowOp(NewRowsSource(cols, rows)))
+	v, err := sql.Eval(e, row)
 	if err != nil {
-		t.Fatalf("%s row mode: %v", label, err)
+		t.Fatal(err)
 	}
+	return v
+}
+
+func refFilter(t *testing.T, rows []types.Row, pred sql.Expr) []types.Row {
+	var out []types.Row
+	for _, r := range rows {
+		if mustEval(t, pred, r).IsTruthy() {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func refProject(t *testing.T, rows []types.Row, exprs []sql.Expr) []types.Row {
+	var out []types.Row
+	for _, r := range rows {
+		p := make(types.Row, len(exprs))
+		for i, e := range exprs {
+			p[i] = mustEval(t, e, r)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// refJoin: every left row in order, its key-equal right rows in right
+// order (NULL keys never match), kept when the residual holds; an outer
+// left row with no survivor is null-extended.
+func refJoin(t *testing.T, left, right []types.Row, lkeys, rkeys []sql.Expr, residual sql.Expr, outer bool) []types.Row {
+	key := func(exprs []sql.Expr, r types.Row) (string, bool) {
+		vals := make([]types.Value, len(exprs))
+		for i, e := range exprs {
+			if vals[i] = mustEval(t, e, r); vals[i].IsNull() {
+				return "", false
+			}
+		}
+		return string(types.EncodeKey(nil, vals...)), true
+	}
+	var out []types.Row
+	for _, l := range left {
+		lk, lok := key(lkeys, l)
+		matched := false
+		for _, r := range right {
+			if rk, rok := key(rkeys, r); !lok || !rok || lk != rk {
+				continue
+			}
+			joined := append(append(types.Row{}, l...), r...)
+			if residual != nil && !mustEval(t, residual, joined).IsTruthy() {
+				continue
+			}
+			matched = true
+			out = append(out, joined)
+		}
+		if outer && !matched {
+			out = append(out, append(append(types.Row{}, l...), make(types.Row, len(right[0]))...))
+		}
+	}
+	return out
+}
+
+// refAgg groups on the encoded group key, feeds every value through the
+// boxed accumulator and emits groups in key order; a global aggregate
+// over no rows still yields one row.
+func refAgg(t *testing.T, rows []types.Row, group []sql.Expr, aggs []AggSpec) []types.Row {
+	groups := map[string]*aggGroup{}
+	for _, r := range rows {
+		kv := make(types.Row, len(group))
+		for i, e := range group {
+			kv[i] = mustEval(t, e, r)
+		}
+		k := string(types.EncodeKey(nil, kv...))
+		g := groups[k]
+		if g == nil {
+			g = &aggGroup{keyVals: kv}
+			for _, a := range aggs {
+				g.states = append(g.states, newAggState(a))
+			}
+			groups[k] = g
+		}
+		for i, a := range aggs {
+			v := types.Int(1)
+			if !a.Star {
+				v = mustEval(t, a.Arg, r)
+			}
+			g.states[i].add(v)
+		}
+	}
+	if len(group) == 0 && len(groups) == 0 {
+		g := &aggGroup{}
+		for _, a := range aggs {
+			g.states = append(g.states, newAggState(a))
+		}
+		groups[""] = g
+	}
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out []types.Row
+	for _, k := range keys {
+		row := append(types.Row{}, groups[k].keyVals...)
+		for _, st := range groups[k].states {
+			row = append(row, st.final(AggComplete)...)
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// runRef executes a batch plan over rows and compares it to want.
+func runRef(t *testing.T, label string, rows []types.Row, cols []string,
+	want []types.Row, batchOp func(BatchOperator) BatchOperator) {
+	t.Helper()
 	got, err := CollectBatch(batchOp(NewBatchRowsSource(cols, rows)))
 	if err != nil {
-		t.Fatalf("%s batch mode: %v", label, err)
+		t.Fatalf("%s: %v", label, err)
 	}
 	assertSameRows(t, label, got, want)
 }
@@ -84,8 +200,8 @@ func TestBatchFilterEquivalence(t *testing.T) {
 		"lit-left":     bin(">", lit(types.Int(4)), col(0)),
 		"and-chain": bin("AND", bin(">", col(3), lit(types.Int(10))),
 			bin("<=", col(0), lit(types.Int(5)))),
-		"between":     &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Int(5))},
-		"not-between": &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Int(5)), Not: true},
+		"between":         &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Int(5))},
+		"not-between":     &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Int(5)), Not: true},
 		"between-null-lo": &sql.Between{E: col(0), Lo: lit(types.Null()), Hi: lit(types.Int(5))},
 		"between-null-hi": &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Null())},
 		"is-null":         &sql.IsNull{E: col(0)},
@@ -96,44 +212,43 @@ func TestBatchFilterEquivalence(t *testing.T) {
 			bin("=", col(2), lit(types.Str("s4")))),
 	}
 	for name, pred := range preds {
-		runBoth(t, "filter/"+name, rows, mixedCols,
-			func(in Operator) Operator { return &Filter{Input: in, Pred: pred} },
+		runRef(t, "filter/"+name, rows, mixedCols, refFilter(t, rows, pred),
 			func(in BatchOperator) BatchOperator { return &BatchFilter{Input: in, Pred: pred} })
 	}
 }
 
 func TestBatchProjectEquivalence(t *testing.T) {
 	rows := mixedRows(2000)
-	runBoth(t, "project/exprs", rows, mixedCols,
-		func(in Operator) Operator {
-			return &Project{Input: in,
-				Exprs: []sql.Expr{bin("*", col(1), col(3)), bin("+", col(3), lit(types.Int(1))), col(2)},
-				Names: []string{"p", "q", "c2"}}
-		},
+	exprs := []sql.Expr{bin("*", col(1), col(3)), bin("+", col(3), lit(types.Int(1))), col(2)}
+	runRef(t, "project/exprs", rows, mixedCols, refProject(t, rows, exprs),
 		func(in BatchOperator) BatchOperator {
-			return &BatchProject{Input: in,
-				Exprs: []sql.Expr{bin("*", col(1), col(3)), bin("+", col(3), lit(types.Int(1))), col(2)},
-				Names: []string{"p", "q", "c2"}}
+			return &BatchProject{Input: in, Exprs: exprs, Names: []string{"p", "q", "c2"}}
 		})
-	// All-column-ref projections take the zero-copy view path.
-	runBoth(t, "project/colrefs", rows, mixedCols,
-		func(in Operator) Operator {
-			return &Project{Input: in, Exprs: []sql.Expr{col(2), col(0)}, Names: []string{"c2", "c0"}}
-		},
-		func(in BatchOperator) BatchOperator {
-			return &BatchProject{Input: in, Exprs: []sql.Expr{col(2), col(0)}, Names: []string{"c2", "c0"}}
-		})
+	// All-column-ref projections move no data: in place, or as a view
+	// when a column appears twice.
+	for _, refs := range [][]sql.Expr{{col(2), col(0)}, {col(2), col(0), col(2)}} {
+		runRef(t, fmt.Sprintf("project/colrefs-%d", len(refs)), rows, mixedCols, refProject(t, rows, refs),
+			func(in BatchOperator) BatchOperator {
+				return &BatchProject{Input: in, Exprs: refs, Names: make([]string, len(refs))}
+			})
+	}
 }
 
 func TestBatchSortLimitEquivalence(t *testing.T) {
 	rows := mixedRows(2500)
 	keys := []SortKey{{Expr: col(0)}, {Expr: col(1), Desc: true}}
-	runBoth(t, "sort", rows, mixedCols,
-		func(in Operator) Operator { return &Sort{Input: in, Keys: keys} },
+	// Stable order: c0 ascending (NULL first), then c1 descending.
+	sorted := append([]types.Row(nil), rows...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if c := sorted[i][0].Compare(sorted[j][0]); c != 0 {
+			return c < 0
+		}
+		return sorted[i][1].Compare(sorted[j][1]) > 0
+	})
+	runRef(t, "sort", rows, mixedCols, sorted,
 		func(in BatchOperator) BatchOperator { return &BatchSort{Input: in, Keys: keys} })
 	for _, n := range []int{0, 1, 1000, 1024, 1500, 5000} {
-		runBoth(t, fmt.Sprintf("limit-%d", n), rows, mixedCols,
-			func(in Operator) Operator { return &Limit{Input: in, N: n} },
+		runRef(t, fmt.Sprintf("limit-%d", n), rows, mixedCols, rows[:min(n, len(rows))],
 			func(in BatchOperator) BatchOperator { return &BatchLimit{Input: in, N: n} })
 	}
 }
@@ -160,30 +275,19 @@ func TestBatchHashJoinEquivalence(t *testing.T) {
 		{"outer-residual", true, bin(">", col(3), col(5))},
 	}
 	for _, tc := range cases {
-		want, err := Collect(&HashJoin{
-			Left: NewRowsSource(mixedCols, left), Right: NewRowsSource(rcols, right),
-			LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)},
-			Residual: tc.residual, Outer: tc.outer})
-		if err != nil {
-			t.Fatalf("join/%s row mode: %v", tc.name, err)
-		}
+		want := refJoin(t, left, right, []sql.Expr{col(0)}, []sql.Expr{col(0)}, tc.residual, tc.outer)
 		got, err := CollectBatch(&BatchHashJoin{
 			Left: NewBatchRowsSource(mixedCols, left), Right: NewBatchRowsSource(rcols, right),
 			LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)},
 			Residual: tc.residual, Outer: tc.outer})
 		if err != nil {
-			t.Fatalf("join/%s batch mode: %v", tc.name, err)
+			t.Fatalf("join/%s: %v", tc.name, err)
 		}
 		assertSameRows(t, "join/"+tc.name, got, want)
 	}
 	// Expression keys (non-colref) exercise the scratch-eval probe path.
-	want, err := Collect(&HashJoin{
-		Left: NewRowsSource(mixedCols, left), Right: NewRowsSource(rcols, right),
-		LeftKeys:  []sql.Expr{bin("+", col(0), lit(types.Int(1)))},
-		RightKeys: []sql.Expr{bin("+", col(0), lit(types.Int(1)))}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exprKey := []sql.Expr{bin("+", col(0), lit(types.Int(1)))}
+	want := refJoin(t, left, right, exprKey, exprKey, nil, false)
 	got, err := CollectBatch(&BatchHashJoin{
 		Left: NewBatchRowsSource(mixedCols, left), Right: NewBatchRowsSource(rcols, right),
 		LeftKeys:  []sql.Expr{bin("+", col(0), lit(types.Int(1)))},
@@ -216,26 +320,21 @@ func TestBatchHashAggEquivalence(t *testing.T) {
 			label = "agg/global"
 			gnames = names
 		}
-		runBoth(t, label, rows, mixedCols,
-			func(in Operator) Operator {
-				return &HashAgg{Input: in, GroupBy: group, Aggs: aggs, Mode: AggComplete, Names: gnames}
-			},
+		runRef(t, label, rows, mixedCols, refAgg(t, rows, group, aggs),
 			func(in BatchOperator) BatchOperator {
 				return &BatchHashAgg{Input: in, GroupBy: group, Aggs: aggs, Mode: AggComplete, Names: gnames}
 			})
 	}
 	// Empty input: the global group must still emit one row.
-	runBoth(t, "agg/empty-global", nil, mixedCols,
-		func(in Operator) Operator {
-			return &HashAgg{Input: in, Aggs: aggs, Mode: AggComplete, Names: names}
-		},
+	runRef(t, "agg/empty-global", nil, mixedCols, refAgg(t, nil, nil, aggs),
 		func(in BatchOperator) BatchOperator {
 			return &BatchHashAgg{Input: in, Aggs: aggs, Mode: AggComplete, Names: names}
 		})
 }
 
-// TestBatchTwoPhaseAggEquivalence chains partial fragments into a final
-// merge in both modes — the MPP shape.
+// TestBatchTwoPhaseAggEquivalence is the MPP invariant on mixed data:
+// partial fragments merged by a final aggregation equal one
+// complete-mode aggregation over all rows.
 func TestBatchTwoPhaseAggEquivalence(t *testing.T) {
 	rows := mixedRows(2600)
 	shards := [][]types.Row{rows[:900], rows[900:1800], rows[1800:]}
@@ -244,24 +343,18 @@ func TestBatchTwoPhaseAggEquivalence(t *testing.T) {
 	finalGroup := []sql.Expr{&sql.ColumnRef{Column: "g0", Index: 0}}
 	names := []string{"g0", "cnt", "s", "a"}
 
-	var rowPartials []Operator
-	for _, sh := range shards {
-		rowPartials = append(rowPartials, &HashAgg{
-			Input: NewRowsSource(mixedCols, sh), GroupBy: group, Aggs: aggs, Mode: AggPartial})
-	}
-	want, err := Collect(&HashAgg{
-		Input:   &Gather{Cols: nil, Inputs: rowPartials},
-		GroupBy: finalGroup, Aggs: aggs, Mode: AggFinal, Names: names})
+	want, err := CollectBatch(&BatchHashAgg{
+		Input: NewBatchRowsSource(mixedCols, rows), GroupBy: group, Aggs: aggs, Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batchPartials []BatchOperator
+	var partials []BatchOperator
 	for _, sh := range shards {
-		batchPartials = append(batchPartials, &BatchHashAgg{
+		partials = append(partials, &BatchHashAgg{
 			Input: NewBatchRowsSource(mixedCols, sh), GroupBy: group, Aggs: aggs, Mode: AggPartial})
 	}
 	got, err := CollectBatch(&BatchHashAgg{
-		Input:   &BatchGather{Inputs: batchPartials},
+		Input:   &BatchGather{Inputs: partials},
 		GroupBy: finalGroup, Aggs: aggs, Mode: AggFinal, Names: names})
 	if err != nil {
 		t.Fatal(err)
@@ -271,32 +364,22 @@ func TestBatchTwoPhaseAggEquivalence(t *testing.T) {
 
 // TestRunBatchFragmentsEquivalence pushes fragments through scheduled
 // exchange queues (tiny high-water mark to force backpressure parking)
-// and checks the gathered stream matches row-mode fragments.
+// and checks the gathered stream is the fragments' rows in fragment
+// order.
 func TestRunBatchFragmentsEquivalence(t *testing.T) {
 	sched := htap.NewScheduler(htap.Config{})
 	defer sched.Stop()
 	rows := mixedRows(2200)
 	shards := [][]types.Row{rows[:800], rows[800:1600], rows[1600:]}
-
-	var rowAssign []FragmentAssignment
+	var assign []BatchFragmentAssignment
 	for _, sh := range shards {
-		rowAssign = append(rowAssign, FragmentAssignment{Op: NewRowsSource(mixedCols, sh), Sched: sched})
+		assign = append(assign, BatchFragmentAssignment{Op: NewBatchRowsSource(mixedCols, sh), Sched: sched})
 	}
-	rg := RunFragments(htap.GroupAP, rowAssign)
-	rg.Cols = mixedCols
-	want, err := Collect(rg)
+	got, err := CollectBatch(RunBatchFragments(htap.GroupAP, assign, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batchAssign []BatchFragmentAssignment
-	for _, sh := range shards {
-		batchAssign = append(batchAssign, BatchFragmentAssignment{Op: NewBatchRowsSource(mixedCols, sh), Sched: sched})
-	}
-	got, err := CollectBatch(RunBatchFragments(htap.GroupAP, batchAssign, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "fragments", got, want)
+	assertSameRows(t, "fragments", got, rows)
 }
 
 func TestBatchQueueBackpressure(t *testing.T) {
@@ -343,47 +426,11 @@ func TestBatchQueueBackpressure(t *testing.T) {
 	}
 }
 
-func TestRowQueueBackpressure(t *testing.T) {
-	q := NewRowQueueBounded(2)
-	row := types.Row{types.Int(1)}
-	for i := 0; i < 2; i++ {
-		if ok, _ := q.TryPush(row); !ok {
-			t.Fatalf("push %d blocked below high water", i)
-		}
-	}
-	ok, wait := q.TryPush(row)
-	if ok || wait == nil {
-		t.Fatal("third push should block with a wake channel")
-	}
-	if _, err := q.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-wait:
-	case <-time.After(time.Second):
-		t.Fatal("pop did not wake blocked producer")
-	}
-	done := make(chan struct{})
-	go func() { q.Push(row); q.Push(row); close(done) }() // second blocks until drained
-	time.Sleep(10 * time.Millisecond)
-	if _, err := q.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("blocking Push never completed")
-	}
-	q.CloseWith(nil)
-}
-
-// TestBatchToRowRoundTrip sanity-checks the bridging adapters.
-func TestBatchToRowRoundTrip(t *testing.T) {
+// TestBatchRowsRoundTrip columnarizes rows across a batch boundary
+// and materializes them back unchanged.
+func TestBatchRowsRoundTrip(t *testing.T) {
 	rows := mixedRows(1300)
-	got, err := Collect(&BatchToRow{Op: &RowToBatch{Op: NewRowsSource(mixedCols, rows)}})
+	got, err := CollectBatch(NewBatchRowsSource(mixedCols, rows))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,18 +10,18 @@ import (
 	"repro/internal/vector"
 )
 
-// BatchHashAgg is the batch-mode hash aggregate. It reuses aggState, so
-// Complete/Partial/Final semantics (and AVG's two-column partial state)
-// are identical to HashAgg; groups emit in sorted encoded-key order like
-// the row path. The batch win: group keys box only the key columns and
-// encode into a reused buffer (no per-row sql.Eval, no allocation on
-// group hits), aggregate arguments read straight from vectors, and
-// global aggregates over typed vectors run fused update kernels.
+// BatchHashAgg groups its input on GroupBy expressions and computes
+// Aggs. Output layout: group columns first (in GroupBy order), then
+// aggregate columns (state columns in Partial mode; AVG's partial state
+// is two columns). Groups emit in sorted encoded-key order for
+// determinism. Group keys box only the key columns and encode into a
+// reused buffer (no per-row sql.Eval, no allocation on group hits),
+// aggregate arguments read straight from vectors, and global aggregates
+// over typed vectors run fused update kernels.
 //
 // Float SUM/AVG accumulation folds strictly in row order — including
-// inside the fused kernels — so results are bit-identical to row mode
-// (float addition is not associative; equivalence demands the same
-// fold order, not just the same set of addends).
+// inside the fused kernels — so results do not depend on how the input
+// was cut into batches (float addition is not associative).
 type BatchHashAgg struct {
 	Input   BatchOperator
 	GroupBy []sql.Expr
@@ -32,7 +32,7 @@ type BatchHashAgg struct {
 
 	groups map[string]*aggGroup
 	order  []string
-	out    *BatchesSource
+	out    *BatchRowsSource
 	built  bool
 
 	grefs   []int // GroupBy column indexes, or nil
@@ -42,12 +42,12 @@ type BatchHashAgg struct {
 	scratch types.Row
 }
 
-// Columns implements BatchOperator (same naming scheme as HashAgg).
+// Columns implements BatchOperator.
 func (h *BatchHashAgg) Columns() []string {
 	if h.Names != nil {
 		return h.Names
 	}
-	return (&HashAgg{GroupBy: h.GroupBy, Aggs: h.Aggs, Mode: h.Mode}).Columns()
+	return aggColumns(len(h.GroupBy), h.Aggs, h.Mode)
 }
 
 // Open implements BatchOperator.
@@ -108,7 +108,6 @@ func (h *BatchHashAgg) build() error {
 		h.order = append(h.order, k)
 	}
 	sort.Strings(h.order)
-	ncols := len(h.Columns())
 	var rows []types.Row
 	for _, k := range h.order {
 		g := h.groups[k]
@@ -118,7 +117,7 @@ func (h *BatchHashAgg) build() error {
 		}
 		rows = append(rows, out)
 	}
-	h.out = &BatchesSource{Batches: BatchesFromRows(rows, ncols)}
+	h.out = NewBatchRowsSource(h.Columns(), rows)
 	h.built = true
 	return nil
 }
@@ -213,7 +212,7 @@ func forSel(v *vector.Vector, sel []int, fn func(i int)) {
 // promotion semantics: the integer fast path only runs while the
 // accumulator is still integral (or empty) over an int column; any
 // float anywhere switches to the in-order float fold so the result is
-// bit-identical to the row path's left fold.
+// bit-identical to a row-at-a-time left fold.
 func sumKernel(st *aggState, v *vector.Vector, sel []int) {
 	if v.Encoded() {
 		if !sumEncoded(st, v, sel) {
@@ -299,7 +298,7 @@ func sumKernel(st *aggState, v *vector.Vector, sel []int) {
 		}
 		return
 	}
-	// Boxed/string columns: defer to the row-path accumulator.
+	// Boxed/string columns: defer to the boxed accumulator.
 	forSel(v, sel, func(i int) { st.add(v.Value(i)) })
 }
 

@@ -17,7 +17,7 @@ import (
 // without letting a fast producer balloon memory.
 const DefaultQueueHighWater = 8
 
-// BatchQueue is the batch-mode exchange buffer between fragments: one
+// BatchQueue is the exchange buffer between fragments: one
 // queue operation moves ~1024 rows, and the queue is bounded — a
 // producer that reaches the high-water mark blocks (or, on the htap
 // scheduler, parks with JobBlocked) until the consumer drains.
@@ -192,8 +192,8 @@ func (s *BatchQueueSource) Close() error {
 	return nil
 }
 
-// BatchGather merges several batch inputs by draining each in turn —
-// the same order Gather uses, so row and batch mode merge identically.
+// BatchGather merges several batch inputs by draining each in turn, so
+// the merged order is deterministic: input order, then each input's own.
 type BatchGather struct {
 	Cols   []string
 	Inputs []BatchOperator

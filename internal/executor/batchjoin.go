@@ -8,12 +8,14 @@ import (
 	"repro/internal/vector"
 )
 
-// BatchHashJoin is the batch-mode equi-join. Semantics match HashJoin
-// exactly (right side builds, left side probes in order, matches emit
-// in build insertion order, NULL keys never match, LEFT OUTER emits
-// null-extended rows, residual filters the joined layout) — the batch
-// win is amortized probing: keys encode into a reused buffer straight
-// from column vectors and output rows append into pooled vectors.
+// BatchHashJoin is the equi-join. The right input builds (hashed on
+// RightKeys) and the left input probes in order, so output keeps the
+// left order and matches emit in build insertion order; NULL keys never
+// match; LEFT OUTER (Outer) emits null-extended rows for unmatched left
+// rows; Residual filters the joined layout (left columns then right
+// columns). Probing is amortized per batch: keys encode into a reused
+// buffer straight from column vectors and output rows append into
+// pooled vectors. The optimizer places the smaller input on the right.
 type BatchHashJoin struct {
 	Left, Right BatchOperator
 	// LeftKeys/RightKeys are bound against the respective child layouts.
@@ -131,8 +133,8 @@ func (j *BatchHashJoin) build() error {
 }
 
 // NextBatch implements BatchOperator. Each input batch probes into one
-// output batch (sized by the match cardinality), preserving row-mode
-// emission order.
+// output batch (sized by the match cardinality), keeping the emission
+// order described on BatchHashJoin.
 func (j *BatchHashJoin) NextBatch() (*vector.Batch, error) {
 	if !j.built {
 		if err := j.build(); err != nil {
@@ -172,7 +174,7 @@ func (j *BatchHashJoin) NextBatch() (*vector.Batch, error) {
 			}
 			if j.Outer && j.Residual != nil {
 				// Residual-filtered LEFT OUTER: null-extend when no match
-				// survives the residual (same as the row path).
+				// survives the residual.
 				emitted := false
 				for _, m := range matches {
 					pass, err := j.residualPass(m)
@@ -265,6 +267,111 @@ func (j *BatchHashJoin) residualPass(match types.Row) (bool, error) {
 // Close implements BatchOperator.
 func (j *BatchHashJoin) Close() error {
 	j.table = nil
+	errL := j.Left.Close()
+	errR := j.Right.Close()
+	if errL != nil {
+		return errL
+	}
+	return errR
+}
+
+// BatchNestedLoopJoin handles non-equi joins (the optimizer picks it only
+// when no equi-keys exist): the right input is materialized once, then
+// every left row is paired with every right row in order and kept when
+// On holds on the joined layout (left columns then right columns). Outer
+// emits a null-extended row for a left row that matched nothing. Each
+// left input batch probes into one output batch.
+type BatchNestedLoopJoin struct {
+	Left, Right BatchOperator
+	On          sql.Expr
+	Outer       bool
+
+	cols   []string
+	right  []types.Row
+	built  bool
+	joined types.Row // scratch: left ++ right
+}
+
+// Columns implements BatchOperator.
+func (j *BatchNestedLoopJoin) Columns() []string {
+	if j.cols == nil {
+		j.cols = append(append([]string{}, j.Left.Columns()...), j.Right.Columns()...)
+	}
+	return j.cols
+}
+
+// Open implements BatchOperator.
+func (j *BatchNestedLoopJoin) Open() error {
+	j.built, j.right = false, nil
+	if err := j.Left.Open(); err != nil {
+		return err
+	}
+	return j.Right.Open()
+}
+
+// NextBatch implements BatchOperator.
+func (j *BatchNestedLoopJoin) NextBatch() (*vector.Batch, error) {
+	if !j.built {
+		for {
+			b, err := j.Right.NextBatch()
+			if errors.Is(err, ErrEOF) {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			j.right = b.AppendRows(j.right)
+			b.Release()
+		}
+		j.built = true
+	}
+	lw, rw := len(j.Left.Columns()), len(j.Right.Columns())
+	if len(j.joined) != lw+rw {
+		j.joined = make(types.Row, lw+rw)
+	}
+	left, right := j.joined[:lw], j.joined[lw:]
+	for {
+		b, err := j.Left.NextBatch()
+		if err != nil {
+			return nil, err // includes ErrEOF
+		}
+		out := vector.NewBatch(lw + rw)
+		for i, n := 0, b.NumRows(); i < n; i++ {
+			b.RowInto(left, i)
+			matched := false
+			for _, r := range j.right {
+				copy(right, r)
+				if j.On != nil {
+					v, err := sql.Eval(j.On, j.joined)
+					if err != nil {
+						out.Release()
+						b.Release()
+						return nil, err
+					}
+					if !v.IsTruthy() {
+						continue
+					}
+				}
+				matched = true
+				out.AppendRow(j.joined)
+			}
+			if j.Outer && !matched {
+				clear(right)
+				out.AppendRow(j.joined)
+			}
+		}
+		b.Release()
+		if out.NumRows() == 0 {
+			out.Release()
+			continue
+		}
+		return out, nil
+	}
+}
+
+// Close implements BatchOperator.
+func (j *BatchNestedLoopJoin) Close() error {
+	j.right = nil
 	errL := j.Left.Close()
 	errR := j.Right.Close()
 	if errL != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/htap"
 	"repro/internal/sql"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // col builds a bound column reference.
@@ -30,60 +31,83 @@ func intRows(vals ...[]int64) []types.Row {
 	return out
 }
 
+// src serves rows as batches.
+func src(cols []string, rows []types.Row) BatchOperator { return NewBatchRowsSource(cols, rows) }
+
+// collect drains op, failing the test on error.
+func collect(t *testing.T, op BatchOperator) []types.Row {
+	t.Helper()
+	rows, err := CollectBatch(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestRowsSourceAndCollect(t *testing.T) {
-	src := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{2}))
-	got, err := Collect(src)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("collect = %v, %v", got, err)
+	got := collect(t, src([]string{"a"}, intRows([]int64{1}, []int64{2})))
+	if len(got) != 2 || got[1][0].AsInt() != 2 {
+		t.Fatalf("collect = %v", got)
+	}
+	if got := collect(t, src([]string{"a"}, nil)); len(got) != 0 {
+		t.Fatalf("empty source = %v", got)
 	}
 }
 
 func TestFilter(t *testing.T) {
-	src := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{5}, []int64{10}))
-	f := &Filter{Input: src, Pred: bin(">", col(0), lit(types.Int(4)))}
-	got, err := Collect(f)
-	if err != nil || len(got) != 2 || got[0][0].AsInt() != 5 {
-		t.Fatalf("filter = %v, %v", got, err)
+	in := src([]string{"a"}, intRows([]int64{1}, []int64{5}, []int64{10}))
+	got := collect(t, &BatchFilter{Input: in, Pred: bin(">", col(0), lit(types.Int(4)))})
+	if len(got) != 2 || got[0][0].AsInt() != 5 {
+		t.Fatalf("filter = %v", got)
 	}
 }
 
 func TestProject(t *testing.T) {
-	src := NewRowsSource([]string{"a", "b"}, intRows([]int64{3, 4}))
-	p := &Project{Input: src,
+	in := src([]string{"a", "b"}, intRows([]int64{3, 4}))
+	p := &BatchProject{Input: in,
 		Exprs: []sql.Expr{bin("*", col(0), col(1)), col(0)},
 		Names: []string{"prod", "a"}}
-	got, err := Collect(p)
-	if err != nil || got[0][0].AsInt() != 12 || got[0][1].AsInt() != 3 {
-		t.Fatalf("project = %v, %v", got, err)
+	got := collect(t, p)
+	if got[0][0].AsInt() != 12 || got[0][1].AsInt() != 3 {
+		t.Fatalf("project = %v", got)
 	}
 	if p.Columns()[0] != "prod" {
 		t.Fatal("names")
 	}
+	// Column references only: reordered in place, or (a column twice)
+	// through a view.
+	for _, tc := range []struct {
+		exprs []sql.Expr
+		want  [2]int64 // second row
+	}{
+		{[]sql.Expr{col(1), col(0)}, [2]int64{6, 5}},
+		{[]sql.Expr{col(1), col(1)}, [2]int64{6, 6}},
+	} {
+		in := src([]string{"a", "b"}, intRows([]int64{3, 4}, []int64{5, 6}))
+		got := collect(t, &BatchProject{Input: in, Exprs: tc.exprs, Names: []string{"x", "y"}})
+		if len(got) != 2 || got[1][0].AsInt() != tc.want[0] || got[1][1].AsInt() != tc.want[1] {
+			t.Fatalf("project %v = %v", tc.exprs, got)
+		}
+	}
 }
 
 func TestLimit(t *testing.T) {
-	src := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{2}, []int64{3}))
-	got, _ := Collect(&Limit{Input: src, N: 2})
-	if len(got) != 2 {
+	in := src([]string{"a"}, intRows([]int64{1}, []int64{2}, []int64{3}))
+	if got := collect(t, &BatchLimit{Input: in, N: 2}); len(got) != 2 {
 		t.Fatalf("limit = %d rows", len(got))
 	}
-	src2 := NewRowsSource([]string{"a"}, intRows([]int64{1}))
-	got2, _ := Collect(&Limit{Input: src2, N: -1})
-	if len(got2) != 1 {
+	in2 := src([]string{"a"}, intRows([]int64{1}))
+	if got := collect(t, &BatchLimit{Input: in2, N: -1}); len(got) != 1 {
 		t.Fatal("negative limit should pass through")
 	}
 }
 
 func TestSortMultiKey(t *testing.T) {
-	src := NewRowsSource([]string{"a", "b"},
+	in := src([]string{"a", "b"},
 		intRows([]int64{1, 9}, []int64{2, 1}, []int64{1, 3}))
-	s := &Sort{Input: src, Keys: []SortKey{
+	got := collect(t, &BatchSort{Input: in, Keys: []SortKey{
 		{Expr: col(0)}, {Expr: col(1), Desc: true},
-	}}
-	got, err := Collect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	want := [][2]int64{{1, 9}, {1, 3}, {2, 1}}
 	for i, w := range want {
 		if got[i][0].AsInt() != w[0] || got[i][1].AsInt() != w[1] {
@@ -93,24 +117,21 @@ func TestSortMultiKey(t *testing.T) {
 }
 
 func TestHashJoinInner(t *testing.T) {
-	left := NewRowsSource([]string{"l.id", "l.v"},
+	left := src([]string{"l.id", "l.v"},
 		intRows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
-	right := NewRowsSource([]string{"r.id", "r.w"},
+	right := src([]string{"r.id", "r.w"},
 		intRows([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}))
-	j := &HashJoin{Left: left, Right: right,
+	j := &BatchHashJoin{Left: left, Right: right,
 		LeftKeys:  []sql.Expr{col(0)},
 		RightKeys: []sql.Expr{col(0)},
 	}
-	got, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, j)
 	if len(got) != 3 {
 		t.Fatalf("join rows = %d", len(got))
 	}
-	// Row layout: l.id, l.v, r.id, r.w.
-	if got[0][0].AsInt() != 2 || got[0][3].AsInt() != 200 {
-		t.Fatalf("join[0] = %v", got[0])
+	// Row layout: l.id, l.v, r.id, r.w; matches emit in build order.
+	if got[0][0].AsInt() != 2 || got[0][3].AsInt() != 200 || got[2][3].AsInt() != 301 {
+		t.Fatalf("join = %v", got)
 	}
 	if len(j.Columns()) != 4 {
 		t.Fatal("join layout")
@@ -118,13 +139,12 @@ func TestHashJoinInner(t *testing.T) {
 }
 
 func TestHashJoinLeftOuter(t *testing.T) {
-	left := NewRowsSource([]string{"l.id"}, intRows([]int64{1}, []int64{2}))
-	right := NewRowsSource([]string{"r.id"}, intRows([]int64{2}))
-	j := &HashJoin{Left: left, Right: right,
-		LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}, Outer: true}
-	got, err := Collect(j)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("outer join = %v, %v", got, err)
+	left := src([]string{"l.id"}, intRows([]int64{1}, []int64{2}))
+	right := src([]string{"r.id"}, intRows([]int64{2}))
+	got := collect(t, &BatchHashJoin{Left: left, Right: right,
+		LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}, Outer: true})
+	if len(got) != 2 {
+		t.Fatalf("outer join = %v", got)
 	}
 	if !got[0][1].IsNull() {
 		t.Fatalf("unmatched row not null-extended: %v", got[0])
@@ -132,53 +152,49 @@ func TestHashJoinLeftOuter(t *testing.T) {
 }
 
 func TestHashJoinNullKeysNeverMatch(t *testing.T) {
-	left := NewRowsSource([]string{"l.id"}, []types.Row{{types.Null()}})
-	right := NewRowsSource([]string{"r.id"}, []types.Row{{types.Null()}})
-	j := &HashJoin{Left: left, Right: right,
-		LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}}
-	got, _ := Collect(j)
+	left := src([]string{"l.id"}, []types.Row{{types.Null()}})
+	right := src([]string{"r.id"}, []types.Row{{types.Null()}})
+	got := collect(t, &BatchHashJoin{Left: left, Right: right,
+		LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}})
 	if len(got) != 0 {
 		t.Fatalf("NULL keys joined: %v", got)
 	}
 }
 
 func TestHashJoinResidual(t *testing.T) {
-	left := NewRowsSource([]string{"l.id", "l.v"}, intRows([]int64{1, 5}, []int64{1, 50}))
-	right := NewRowsSource([]string{"r.id", "r.w"}, intRows([]int64{1, 10}))
+	left := src([]string{"l.id", "l.v"}, intRows([]int64{1, 5}, []int64{1, 50}))
+	right := src([]string{"r.id", "r.w"}, intRows([]int64{1, 10}))
 	// Join on id with residual l.v < r.w.
-	j := &HashJoin{Left: left, Right: right,
+	got := collect(t, &BatchHashJoin{Left: left, Right: right,
 		LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)},
-		Residual: bin("<", col(1), col(3))}
-	got, err := Collect(j)
-	if err != nil || len(got) != 1 || got[0][1].AsInt() != 5 {
-		t.Fatalf("residual join = %v, %v", got, err)
+		Residual: bin("<", col(1), col(3))})
+	if len(got) != 1 || got[0][1].AsInt() != 5 {
+		t.Fatalf("residual join = %v", got)
 	}
 }
 
 func TestNestedLoopJoinNonEqui(t *testing.T) {
-	left := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{5}))
-	right := NewRowsSource([]string{"b"}, intRows([]int64{3}, []int64{4}))
-	j := &NestedLoopJoin{Left: left, Right: right,
-		On: bin("<", col(0), col(1))}
-	got, err := Collect(j)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("nl join = %v, %v", got, err)
+	left := src([]string{"a"}, intRows([]int64{1}, []int64{5}))
+	right := src([]string{"b"}, intRows([]int64{3}, []int64{4}))
+	got := collect(t, &BatchNestedLoopJoin{Left: left, Right: right,
+		On: bin("<", col(0), col(1))})
+	if len(got) != 2 || got[0][1].AsInt() != 3 || got[1][1].AsInt() != 4 {
+		t.Fatalf("nl join = %v", got)
 	}
 	// Outer variant keeps unmatched left rows.
-	left2 := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{9}))
-	right2 := NewRowsSource([]string{"b"}, intRows([]int64{3}))
-	j2 := &NestedLoopJoin{Left: left2, Right: right2,
-		On: bin("<", col(0), col(1)), Outer: true}
-	got2, _ := Collect(j2)
+	left2 := src([]string{"a"}, intRows([]int64{1}, []int64{9}))
+	right2 := src([]string{"b"}, intRows([]int64{3}))
+	got2 := collect(t, &BatchNestedLoopJoin{Left: left2, Right: right2,
+		On: bin("<", col(0), col(1)), Outer: true})
 	if len(got2) != 2 || !got2[1][1].IsNull() {
 		t.Fatalf("outer nl join = %v", got2)
 	}
 }
 
 func TestHashAggComplete(t *testing.T) {
-	src := NewRowsSource([]string{"g", "v"},
+	in := src([]string{"g", "v"},
 		intRows([]int64{1, 10}, []int64{2, 5}, []int64{1, 20}, []int64{2, 7}))
-	agg := &HashAgg{Input: src,
+	got := collect(t, &BatchHashAgg{Input: in,
 		GroupBy: []sql.Expr{col(0)},
 		Aggs: []AggSpec{
 			{Func: "COUNT", Star: true},
@@ -186,10 +202,9 @@ func TestHashAggComplete(t *testing.T) {
 			{Func: "AVG", Arg: col(1)},
 			{Func: "MIN", Arg: col(1)},
 			{Func: "MAX", Arg: col(1)},
-		}}
-	got, err := Collect(agg)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("agg = %v, %v", got, err)
+		}})
+	if len(got) != 2 {
+		t.Fatalf("agg = %v", got)
 	}
 	// Group 1: count 2, sum 30, avg 15, min 10, max 20.
 	g1 := got[0]
@@ -200,13 +215,11 @@ func TestHashAggComplete(t *testing.T) {
 }
 
 func TestHashAggGlobalEmptyInput(t *testing.T) {
-	src := NewRowsSource([]string{"v"}, nil)
-	agg := &HashAgg{Input: src, Aggs: []AggSpec{
+	got := collect(t, &BatchHashAgg{Input: src([]string{"v"}, nil), Aggs: []AggSpec{
 		{Func: "COUNT", Star: true}, {Func: "SUM", Arg: col(0)},
-	}}
-	got, err := Collect(agg)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("global agg = %v, %v", got, err)
+	}})
+	if len(got) != 1 {
+		t.Fatalf("global agg = %v", got)
 	}
 	if got[0][0].AsInt() != 0 || !got[0][1].IsNull() {
 		t.Fatalf("empty aggregates = %v", got[0])
@@ -214,15 +227,13 @@ func TestHashAggGlobalEmptyInput(t *testing.T) {
 }
 
 func TestHashAggDistinct(t *testing.T) {
-	src := NewRowsSource([]string{"v"},
-		intRows([]int64{5}, []int64{5}, []int64{7}))
-	agg := &HashAgg{Input: src, Aggs: []AggSpec{
+	in := src([]string{"v"}, intRows([]int64{5}, []int64{5}, []int64{7}))
+	got := collect(t, &BatchHashAgg{Input: in, Aggs: []AggSpec{
 		{Func: "COUNT", Arg: col(0), Distinct: true},
 		{Func: "SUM", Arg: col(0), Distinct: true},
-	}}
-	got, err := Collect(agg)
-	if err != nil || got[0][0].AsInt() != 2 || got[0][1].AsInt() != 12 {
-		t.Fatalf("distinct agg = %v, %v", got, err)
+	}})
+	if got[0][0].AsInt() != 2 || got[0][1].AsInt() != 12 {
+		t.Fatalf("distinct agg = %v", got)
 	}
 }
 
@@ -240,13 +251,8 @@ func TestPartialFinalAggEquivalence(t *testing.T) {
 		{Func: "MIN", Arg: col(1)},
 		{Func: "MAX", Arg: col(1)},
 	}
-	// Single phase.
-	complete := &HashAgg{Input: NewRowsSource([]string{"g", "v"}, all),
-		GroupBy: []sql.Expr{col(0)}, Aggs: aggs}
-	want, err := Collect(complete)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := collect(t, &BatchHashAgg{Input: src([]string{"g", "v"}, all),
+		GroupBy: []sql.Expr{col(0)}, Aggs: aggs})
 
 	// Two phase over three "fragments".
 	var partials []types.Row
@@ -257,70 +263,21 @@ func TestPartialFinalAggEquivalence(t *testing.T) {
 				part = append(part, r)
 			}
 		}
-		p := &HashAgg{Input: NewRowsSource([]string{"g", "v"}, part),
-			GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggPartial}
-		rows, err := Collect(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		partials = append(partials, rows...)
+		partials = append(partials, collect(t, &BatchHashAgg{Input: src([]string{"g", "v"}, part),
+			GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggPartial})...)
 	}
-	final := &HashAgg{Input: NewRowsSource(nil, partials),
-		GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggFinal}
-	got, err := Collect(final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("groups: got %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		for c := range want[i] {
-			if want[i][c].Compare(got[i][c]) != 0 {
-				t.Fatalf("row %d col %d: got %v want %v", i, c, got[i][c], want[i][c])
-			}
-		}
-	}
-}
-
-func TestRowQueueOrderAndClose(t *testing.T) {
-	q := NewRowQueue()
-	for i := int64(0); i < 5; i++ {
-		q.Push(types.Row{types.Int(i)})
-	}
-	q.CloseWith(nil)
-	for i := int64(0); i < 5; i++ {
-		r, err := q.Pop()
-		if err != nil || r[0].AsInt() != i {
-			t.Fatalf("pop %d = %v, %v", i, r, err)
-		}
-	}
-	if _, err := q.Pop(); !errors.Is(err, ErrEOF) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRowQueueErrorPropagation(t *testing.T) {
-	q := NewRowQueue()
-	want := errors.New("fragment failed")
-	q.CloseWith(want)
-	if _, err := q.Pop(); !errors.Is(err, want) {
-		t.Fatalf("err = %v", err)
-	}
-	// Push after close is dropped.
-	q.Push(types.Row{types.Int(1)})
-	if q.Len() != 0 {
-		t.Fatal("push after close buffered")
-	}
+	partialCols := aggColumns(1, aggs, AggPartial)
+	got := collect(t, &BatchHashAgg{Input: src(partialCols, partials),
+		GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggFinal})
+	assertSameRows(t, "partial/final", got, want)
 }
 
 func TestGatherMergesInputs(t *testing.T) {
-	a := NewRowsSource([]string{"v"}, intRows([]int64{1}, []int64{2}))
-	b := NewRowsSource([]string{"v"}, intRows([]int64{3}))
-	g := &Gather{Cols: []string{"v"}, Inputs: []Operator{a, b}}
-	got, err := Collect(g)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("gather = %v, %v", got, err)
+	a := src([]string{"v"}, intRows([]int64{1}, []int64{2}))
+	b := src([]string{"v"}, intRows([]int64{3}))
+	got := collect(t, &BatchGather{Cols: []string{"v"}, Inputs: []BatchOperator{a, b}})
+	if len(got) != 3 || got[2][0].AsInt() != 3 {
+		t.Fatalf("gather = %v", got)
 	}
 }
 
@@ -330,19 +287,15 @@ func TestFragmentsOnScheduler(t *testing.T) {
 	// Three scan fragments with partial aggregation, gathered and
 	// final-aggregated — a miniature MPP plan.
 	aggs := []AggSpec{{Func: "SUM", Arg: col(1)}, {Func: "COUNT", Star: true}}
-	var assignments []FragmentAssignment
+	var assignments []BatchFragmentAssignment
 	for i := 0; i < 3; i++ {
 		rows := intRows([]int64{1, int64(i + 1)}, []int64{2, int64(10 * (i + 1))})
-		frag := &HashAgg{Input: NewRowsSource([]string{"g", "v"}, rows),
+		frag := &BatchHashAgg{Input: src([]string{"g", "v"}, rows),
 			GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggPartial}
-		assignments = append(assignments, FragmentAssignment{Op: frag, Sched: sched})
+		assignments = append(assignments, BatchFragmentAssignment{Op: frag, Sched: sched})
 	}
-	gather := RunFragments(htap.GroupAP, assignments)
-	final := &HashAgg{Input: gather, GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggFinal}
-	got, err := Collect(final)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gather := RunBatchFragments(htap.GroupAP, assignments, 0)
+	got := collect(t, &BatchHashAgg{Input: gather, GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggFinal})
 	if len(got) != 2 {
 		t.Fatalf("groups = %d", len(got))
 	}
@@ -354,36 +307,37 @@ func TestFragmentsOnScheduler(t *testing.T) {
 }
 
 func TestFragmentsWithoutScheduler(t *testing.T) {
-	src := NewRowsSource([]string{"v"}, intRows([]int64{1}, []int64{2}))
-	gather := RunFragments(htap.GroupTP, []FragmentAssignment{{Op: src}})
-	got, err := Collect(gather)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("no-scheduler fragments = %v, %v", got, err)
+	in := src([]string{"v"}, intRows([]int64{1}, []int64{2}))
+	got := collect(t, RunBatchFragments(htap.GroupTP, []BatchFragmentAssignment{{Op: in}}, 0))
+	if len(got) != 2 {
+		t.Fatalf("no-scheduler fragments = %v", got)
 	}
 }
 
 func TestFragmentErrorSurfacesThroughGather(t *testing.T) {
-	bad := &CallbackSource{Cols: []string{"v"}, Fetch: func() ([]types.Row, error) {
+	bad := &BatchCallbackSource{Cols: []string{"v"}, Fetch: func() (*vector.Batch, error) {
 		return nil, errors.New("shard unreachable")
 	}}
-	gather := RunFragments(htap.GroupTP, []FragmentAssignment{{Op: bad}})
-	if _, err := Collect(gather); err == nil {
+	gather := RunBatchFragments(htap.GroupTP, []BatchFragmentAssignment{{Op: bad}}, 0)
+	if _, err := CollectBatch(gather); err == nil {
 		t.Fatal("fragment error swallowed")
 	}
 }
 
 func TestCallbackSourceBatches(t *testing.T) {
 	calls := 0
-	src := &CallbackSource{Cols: []string{"v"}, Fetch: func() ([]types.Row, error) {
+	in := &BatchCallbackSource{Cols: []string{"v"}, Fetch: func() (*vector.Batch, error) {
 		calls++
-		if calls > 3 {
+		switch {
+		case calls > 3:
 			return nil, nil
+		case calls == 2:
+			return vector.FromRows(nil, 1), nil // empty batches are skipped
 		}
-		return intRows([]int64{int64(calls)}, []int64{int64(calls * 10)}), nil
+		return vector.FromRows(intRows([]int64{int64(calls)}, []int64{int64(calls * 10)}), 1), nil
 	}}
-	got, err := Collect(src)
-	if err != nil || len(got) != 6 {
-		t.Fatalf("callback source = %v, %v", got, err)
+	if got := collect(t, in); len(got) != 4 {
+		t.Fatalf("callback source = %v", got)
 	}
 }
 
@@ -397,12 +351,12 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := &HashJoin{
-			Left:     NewRowsSource([]string{"a", "b"}, leftRows),
-			Right:    NewRowsSource([]string{"c", "d"}, rightRows),
+		j := &BatchHashJoin{
+			Left:     src([]string{"a", "b"}, leftRows),
+			Right:    src([]string{"c", "d"}, rightRows),
 			LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)},
 		}
-		rows, err := Collect(j)
+		rows, err := CollectBatch(j)
 		if err != nil || len(rows) != n {
 			b.Fatal(err)
 		}
@@ -417,10 +371,10 @@ func BenchmarkHashAgg(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg := &HashAgg{Input: NewRowsSource([]string{"g", "v"}, rows),
+		agg := &BatchHashAgg{Input: src([]string{"g", "v"}, rows),
 			GroupBy: []sql.Expr{col(0)},
 			Aggs:    []AggSpec{{Func: "SUM", Arg: col(1)}, {Func: "COUNT", Star: true}}}
-		out, err := Collect(agg)
+		out, err := CollectBatch(agg)
 		if err != nil || len(out) != 16 {
 			b.Fatal(err)
 		}

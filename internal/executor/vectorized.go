@@ -2,6 +2,7 @@ package executor
 
 import (
 	"errors"
+	"sort"
 
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -10,7 +11,7 @@ import (
 
 // simpleBPred is one compiled col-op-literal conjunct evaluated with a
 // typed kernel over a column vector. The comparison ops carry exactly
-// the row-mode semantics: NULL operands never match, values compare via
+// sql.Eval's semantics: NULL operands never match, values compare via
 // types.Value.Compare.
 type simpleBPred struct {
 	col int
@@ -128,7 +129,7 @@ func flipCmp(op string) string {
 
 // apply refines sel against one column, appending survivors to out.
 // Typed fast paths cover the common vector/literal pairings; everything
-// else boxes per position with Value.Compare, which keeps row-mode
+// else boxes per position with Value.Compare, which keeps sql.Eval's
 // semantics for cross-class comparisons.
 func (p simpleBPred) apply(vec *vector.Vector, sel, out []int) []int {
 	switch p.op {
@@ -334,7 +335,9 @@ func (f *BatchFilter) Columns() []string { return f.Input.Columns() }
 // Open implements BatchOperator.
 func (f *BatchFilter) Open() error {
 	f.preds, f.residual, f.constFalse = compileBatchPred(f.Pred)
-	f.scratch = make(types.Row, len(f.Input.Columns()))
+	if f.residual != nil {
+		f.scratch = make(types.Row, len(f.Input.Columns()))
+	}
 	return f.Input.Open()
 }
 
@@ -399,17 +402,26 @@ func (f *BatchFilter) NextBatch() (*vector.Batch, error) {
 func (f *BatchFilter) Close() error { return f.Input.Close() }
 
 // BatchProject evaluates projection expressions batch-at-a-time. When
-// every expression is a bound column reference the output is a zero-copy
-// view (shared vectors, shared selection); otherwise rows evaluate on a
+// every expression is a bound column reference no data moves: an owned
+// input batch is projected in place, anything else gets a zero-copy view
+// (shared vectors, shared selection). Otherwise rows evaluate on a
 // scratch row into a fresh batch.
 type BatchProject struct {
 	Input BatchOperator
 	Exprs []sql.Expr
 	Names []string
 
-	refs    []int // column index per expr, or -1
 	allRefs bool
-	scratch types.Row
+	refs    []int     // column index per expr, or -1 (expression path only)
+	scratch types.Row // expression path only
+}
+
+// colRef returns the column a bound column reference reads, or -1.
+func colRef(e sql.Expr) int {
+	if c, ok := e.(*sql.ColumnRef); ok && c.Index >= 0 {
+		return c.Index
+	}
+	return -1
 }
 
 // Columns implements BatchOperator.
@@ -417,17 +429,20 @@ func (p *BatchProject) Columns() []string { return p.Names }
 
 // Open implements BatchOperator.
 func (p *BatchProject) Open() error {
-	p.refs = make([]int, len(p.Exprs))
 	p.allRefs = true
-	for i, e := range p.Exprs {
-		p.refs[i] = -1
-		if c, ok := e.(*sql.ColumnRef); ok && c.Index >= 0 {
-			p.refs[i] = c.Index
-		} else {
+	for _, e := range p.Exprs {
+		if colRef(e) < 0 {
 			p.allRefs = false
+			break
 		}
 	}
-	p.scratch = make(types.Row, len(p.Input.Columns()))
+	if !p.allRefs {
+		p.refs = make([]int, len(p.Exprs))
+		for i, e := range p.Exprs {
+			p.refs[i] = colRef(e)
+		}
+		p.scratch = make(types.Row, len(p.Input.Columns()))
+	}
 	return p.Input.Open()
 }
 
@@ -438,12 +453,15 @@ func (p *BatchProject) NextBatch() (*vector.Batch, error) {
 		return nil, err
 	}
 	if p.allRefs {
+		if !b.Shared && projectInPlace(b, p.Exprs) {
+			return b, nil
+		}
 		// Owner=b: releasing the view forwards to the input batch, whose
 		// pooled storage the view borrows — without it the input would
 		// never return to the pool.
-		out := &vector.Batch{Vecs: make([]*vector.Vector, len(p.refs)), Sel: b.Sel, Shared: true, Owner: b}
-		for i, c := range p.refs {
-			out.Vecs[i] = b.Vecs[c]
+		out := &vector.Batch{Vecs: make([]*vector.Vector, len(p.Exprs)), Sel: b.Sel, Shared: true, Owner: b}
+		for i, e := range p.Exprs {
+			out.Vecs[i] = b.Vecs[colRef(e)]
 		}
 		return out, nil
 	}
@@ -467,6 +485,37 @@ func (p *BatchProject) NextBatch() (*vector.Batch, error) {
 	}
 	b.Release()
 	return out, nil
+}
+
+// projectInPlace reorders an owned batch's vectors so the referenced
+// columns come first, in expression order, and truncates Vecs to them.
+// The dropped vectors stay in the slice's spare capacity, so the pool
+// still recycles them with the batch. A column referenced twice would
+// need one vector in two slots, so that (and a very wide projection)
+// reports false and the caller builds a view instead.
+func projectInPlace(b *vector.Batch, refs []sql.Expr) bool {
+	var want [8]*vector.Vector
+	if len(refs) > len(want) {
+		return false
+	}
+	for i, e := range refs {
+		want[i] = b.Vecs[colRef(e)]
+		for _, prev := range want[:i] {
+			if prev == want[i] {
+				return false
+			}
+		}
+	}
+	for i := range refs {
+		for j := i; j < len(b.Vecs); j++ {
+			if b.Vecs[j] == want[i] {
+				b.Vecs[i], b.Vecs[j] = b.Vecs[j], b.Vecs[i]
+				break
+			}
+		}
+	}
+	b.Vecs = b.Vecs[:len(refs)]
+	return true
 }
 
 // Close implements BatchOperator.
@@ -516,13 +565,19 @@ func (l *BatchLimit) NextBatch() (*vector.Batch, error) {
 // Close implements BatchOperator.
 func (l *BatchLimit) Close() error { return l.Input.Close() }
 
-// BatchSort materializes, orders with the row comparator (identical
-// ordering to Sort by construction) and re-batches.
+// SortKey is one ORDER BY key over the input layout.
+type SortKey struct {
+	Expr sql.Expr
+	Desc bool
+}
+
+// BatchSort materializes its input, orders it stably by Keys and
+// re-batches.
 type BatchSort struct {
 	Input BatchOperator
 	Keys  []SortKey
 
-	out  *BatchesSource
+	out  *BatchRowsSource
 	done bool
 }
 
@@ -553,7 +608,7 @@ func (s *BatchSort) NextBatch() (*vector.Batch, error) {
 		if err := sortRows(rows, s.Keys); err != nil {
 			return nil, err
 		}
-		s.out = &BatchesSource{Batches: BatchesFromRows(rows, len(s.Input.Columns()))}
+		s.out = NewBatchRowsSource(s.Input.Columns(), rows)
 		s.done = true
 	}
 	return s.out.NextBatch()
@@ -563,4 +618,33 @@ func (s *BatchSort) NextBatch() (*vector.Batch, error) {
 func (s *BatchSort) Close() error {
 	s.out = nil
 	return s.Input.Close()
+}
+
+// sortRows stably orders rows by the given keys.
+func sortRows(rows []types.Row, keys []SortKey) error {
+	var evalErr error
+	sort.SliceStable(rows, func(i, j int) bool {
+		for _, k := range keys {
+			a, err := sql.Eval(k.Expr, rows[i])
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			b, err := sql.Eval(k.Expr, rows[j])
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			c := a.Compare(b)
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+	return evalErr
 }

@@ -38,9 +38,6 @@ type Options struct {
 	HasColumnIndex func(table string) bool
 	// MPPAvailable enables multi-CN fragment plans for AP queries.
 	MPPAvailable bool
-	// BatchAvailable enables vectorized batch execution for AP plans
-	// (row mode remains the TP path and the equivalence baseline).
-	BatchAvailable bool
 }
 
 func (o Options) withDefaults() Options {

@@ -33,7 +33,8 @@ type chain struct {
 // visibleRow walks the chain and returns the newest row version visible
 // at snapshotTS for reader (§IV visibility):
 //
-//   - committed version: visible iff commit_ts <= snapshot_ts;
+//   - committed version: visible iff commit_ts <= snapshot_ts and the
+//     reader never saw its writer ACTIVE;
 //   - PREPARED version: the reader must wait for the writer to finish,
 //     then re-evaluate (the commit timestamp is uncertain);
 //   - ACTIVE version from another txn: invisible;
@@ -67,10 +68,11 @@ func walkVisible(v *version, reader *Txn, snapshotTS hlc.Timestamp) (types.Row, 
 		}
 		switch w.Status() {
 		case TxnCommitted:
-			if w.CommitTS() <= snapshotTS {
+			if w.CommitTS() <= snapshotTS && !reader.sawConcurrent(w) {
 				return v.row, v.row != nil, nil
 			}
-			// Committed after our snapshot: look further back.
+			// Committed after our snapshot (by timestamp, or because we
+			// saw it ACTIVE): look further back.
 		case TxnPrepared:
 			// Uncertain commit timestamp. If even the *prepare* timestamp
 			// is above our snapshot, the final commit_ts (>= prepare_ts)
@@ -83,6 +85,11 @@ func walkVisible(v *version, reader *Txn, snapshotTS hlc.Timestamp) (types.Row, 
 		case TxnActive:
 			// §IV case 3: ACTIVE writers are invisible to us (and the
 			// proof shows their commit_ts must exceed our snapshot_ts).
+			// Remember the writer, so its commit stays invisible to us
+			// even if the caller stamps it at or below our snapshot.
+			if reader != nil {
+				reader.noteConcurrent(w)
+			}
 			continue
 		case TxnAborted:
 			continue
@@ -95,8 +102,9 @@ func walkVisible(v *version, reader *Txn, snapshotTS hlc.Timestamp) (types.Row, 
 // write-write conflict rules:
 //
 //   - another in-flight (ACTIVE/PREPARED) writer at the head → conflict;
-//   - a committed head version with commit_ts > writer's snapshot_ts →
-//     first-committer-wins conflict;
+//   - a committed head version with commit_ts > writer's snapshot_ts,
+//     or whose writer this writer saw ACTIVE → first-committer-wins
+//     conflict;
 //
 // On success the created version is returned so the txn can track it.
 func (c *chain) install(writer *Txn, row types.Row) (*version, error) {
@@ -113,7 +121,7 @@ func (c *chain) install(writer *Txn, row types.Row) (*version, error) {
 		case TxnActive, TxnPrepared:
 			return nil, ErrWriteConflict
 		case TxnCommitted:
-			if w.CommitTS() > writer.SnapshotTS {
+			if w.CommitTS() > writer.SnapshotTS || writer.sawConcurrent(w) {
 				return nil, ErrWriteConflict
 			}
 			// Committed before our snapshot: safe to overwrite.

@@ -84,6 +84,39 @@ type Txn struct {
 	redo []wal.Record
 	// engine backlink for finalization.
 	eng *Engine
+
+	// concurrent holds writers this transaction saw ACTIVE on a version
+	// chain; hasConcurrent is its lock-free emptiness check. Such a
+	// writer had not committed when we looked, after our snapshot was
+	// taken, so its versions stay invisible to us and overwriting them is
+	// a write-write conflict whatever commit timestamp it ends up with. A
+	// 1PC caller that picks the commit timestamp before Commit publishes
+	// it therefore cannot slip a lost update past first-committer-wins.
+	concMu        sync.Mutex
+	concurrent    map[*Txn]struct{}
+	hasConcurrent atomic.Bool
+}
+
+// noteConcurrent records that t saw w's write while w was ACTIVE.
+func (t *Txn) noteConcurrent(w *Txn) {
+	t.concMu.Lock()
+	if t.concurrent == nil {
+		t.concurrent = make(map[*Txn]struct{})
+	}
+	t.concurrent[w] = struct{}{}
+	t.concMu.Unlock()
+	t.hasConcurrent.Store(true)
+}
+
+// sawConcurrent reports whether t saw w ACTIVE (nil t: no).
+func (t *Txn) sawConcurrent(w *Txn) bool {
+	if t == nil || !t.hasConcurrent.Load() {
+		return false
+	}
+	t.concMu.Lock()
+	defer t.concMu.Unlock()
+	_, ok := t.concurrent[w]
+	return ok
 }
 
 func (t *Txn) Status() TxnStatus { return TxnStatus(t.status.Load()) }

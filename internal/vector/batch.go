@@ -90,20 +90,25 @@ func (b *Batch) RowInto(dst types.Row, i int) {
 	}
 }
 
-// AppendRows materializes every selected row onto dst.
+// AppendRows materializes every selected row onto dst. The rows share
+// one backing array (one allocation per batch, not per row); each row's
+// capacity ends at its own width, so appending to one never overwrites
+// the next.
 func (b *Batch) AppendRows(dst []types.Row) []types.Row {
-	n := b.NumRows()
+	n, w := b.NumRows(), len(b.Vecs)
+	vals := make([]types.Value, n*w)
 	for i := 0; i < n; i++ {
-		dst = append(dst, b.Row(i))
+		row := vals[i*w : (i+1)*w : (i+1)*w]
+		b.RowInto(row, i)
+		dst = append(dst, row)
 	}
 	return dst
 }
 
 // FromRows columnarizes rows (ncols wide — rows may be empty).
 // Columnarization runs column-at-a-time: the kind dispatch and null
-// checks hoist out of the per-value loop, which is the difference
-// between batch mode paying for its inputs once and paying row-mode
-// costs twice.
+// checks hoist out of the per-value loop, so a batch pays for its
+// inputs once rather than once per value.
 func FromRows(rows []types.Row, ncols int) *Batch {
 	b := NewBatch(ncols)
 	if len(rows) == 0 {
@@ -167,8 +172,8 @@ func (b *Batch) Release() {
 }
 
 // batchPool recycles batches and their vector storage: the executor hot
-// loops (scan columnarization, join/agg output) would otherwise trade
-// the row path's lock traffic for GC pressure.
+// loops (scan columnarization, join/agg output) would otherwise pay
+// for every batch in GC pressure.
 var batchPool = sync.Pool{New: func() any { return &Batch{} }}
 
 // selPool recycles selection vectors (one refinement per filter per

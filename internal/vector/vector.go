@@ -1,6 +1,6 @@
 // Package vector defines the column-major batch representation shared
-// by the vectorized executor (internal/executor batch mode), the column
-// index (zero-copy batch scans) and the DN scan path (shard responses
+// by the batch executor (internal/executor), the column index
+// (zero-copy batch scans) and the DN scan path (shard responses
 // columnarized once at the source). A Batch holds one typed Vector per
 // output column plus a selection vector; operators amortize per-row
 // iteration costs over ~1024 rows and move whole batches through MPP

@@ -1,9 +1,14 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
+
+// ErrPurged reports a read below the log base: the range was discarded
+// after every known consumer moved past it, and no reader can get it back.
+var ErrPurged = errors.New("wal: range purged")
 
 // Log is an in-memory redo log: the RW node's log buffer plus the portion
 // of the on-disk stream that has not been purged. Appends are MTR-atomic.
@@ -114,7 +119,7 @@ func (l *Log) ReadBytes(from, to LSN) ([]byte, error) {
 	defer l.mu.RUnlock()
 	tail := l.base + LSN(len(l.buf))
 	if from < l.base {
-		return nil, fmt.Errorf("wal: range [%d,%d) purged (base %d)", from, to, l.base)
+		return nil, fmt.Errorf("%w: [%d,%d) (base %d)", ErrPurged, from, to, l.base)
 	}
 	if to > tail || from > to {
 		return nil, fmt.Errorf("wal: range [%d,%d) beyond tail %d", from, to, tail)
